@@ -15,10 +15,16 @@ import (
 
 // treeOp is one step of a generated operation log.
 type treeOp struct {
-	kind byte // 'i' insert, 'd' delete, 'u' update, 'l' lookup, 's' scan
+	kind byte // 'i' insert, 'd' delete, 'u' update, 'l' lookup, 's' scan, 'b' batches
 	key  int
 	val  int
+	// batches holds, for kind 'b', one InsertMany batch per Tree handle;
+	// the handles run their batches concurrently.
+	batches [][]kv
 }
+
+// kv is one (key, val) pair of an InsertMany batch.
+type kv struct{ key, val int }
 
 func (o treeOp) String() string {
 	switch o.kind {
@@ -30,6 +36,16 @@ func (o treeOp) String() string {
 		return fmt.Sprintf("update(%d,%d)", o.key, o.val)
 	case 'l':
 		return fmt.Sprintf("lookup(%d)", o.key)
+	case 'b':
+		parts := make([]string, len(o.batches))
+		for j, b := range o.batches {
+			pairs := make([]string, len(b))
+			for i, e := range b {
+				pairs[i] = fmt.Sprintf("%d:%d", e.key, e.val)
+			}
+			parts[j] = "[" + strings.Join(pairs, " ") + "]"
+		}
+		return "batch(" + strings.Join(parts, " | ") + ")"
 	default:
 		return "scan()"
 	}
@@ -56,8 +72,14 @@ func applyOps(t *testing.T, ops []treeOp) string {
 			failure = fmt.Sprintf("create: %v", err)
 			return
 		}
-		tr := btree.New("prop", h.client)
-		tr.MaxKeys = 4 // tiny fanout: a few dozen keys exercise splits and depth
+		// Three handles share the stored tree, each with its own inner-node
+		// cache; handle 0 runs every single-key op.
+		handles := make([]*btree.Tree, 3)
+		for j := range handles {
+			handles[j] = btree.New("prop", h.client)
+			handles[j].MaxKeys = 4 // tiny fanout: a few dozen keys exercise splits and depth
+		}
+		tr := handles[0]
 		model := make(map[string][]byte)
 		for i, o := range ops {
 			k, v := key(o.key), val(o.val)
@@ -114,6 +136,34 @@ func applyOps(t *testing.T, ops []treeOp) string {
 						i, o, got, found, want, inModel)
 					return
 				}
+			case 'b':
+				res := make([][]bool, len(o.batches))
+				errs := make([]error, len(o.batches))
+				futs := make([]env.Future, len(o.batches))
+				for j, b := range o.batches {
+					j, keys, vals := j, make([][]byte, len(b)), make([][]byte, len(b))
+					for i, e := range b {
+						keys[i], vals[i] = key(e.key), val(e.val)
+					}
+					futs[j] = h.envr.NewFuture()
+					ctx.Go("insert-many", func(bctx env.Ctx) {
+						res[j], errs[j] = handles[j].InsertMany(bctx, keys, vals)
+						futs[j].Set(nil)
+					})
+				}
+				for _, f := range futs {
+					f.Get(ctx)
+				}
+				for _, err := range errs {
+					if err != nil {
+						failure = fmt.Sprintf("op %d %s: %v", i, o, err)
+						return
+					}
+				}
+				if failure = batchesMatchModel(o.batches, res, model); failure != "" {
+					failure = fmt.Sprintf("op %d %s: %s", i, o, failure)
+					return
+				}
 			case 's':
 				if failure = scanMatchesModel(ctx, tr, model); failure != "" {
 					failure = fmt.Sprintf("op %d %s: %s", i, o, failure)
@@ -124,6 +174,69 @@ func applyOps(t *testing.T, ops []treeOp) string {
 		failure = scanMatchesModel(ctx, tr, model)
 	})
 	return failure
+}
+
+// batchesMatchModel checks the existed flags of concurrently run batches
+// and folds the inserted pairs into the model. A key absent from the model
+// must be inserted exactly once over all batches, by the first occurrence
+// of the key within the winning batch; every other occurrence, and every
+// occurrence of a key already in the model, reports existed.
+func batchesMatchModel(batches [][]kv, res [][]bool, model map[string][]byte) string {
+	winner := make(map[string][]byte)
+	for j, b := range batches {
+		if len(res[j]) != len(b) {
+			return fmt.Sprintf("batch %d: %d flags for %d keys", j, len(res[j]), len(b))
+		}
+		seen := make(map[int]bool)
+		for i, e := range b {
+			k := string(key(e.key))
+			_, before := model[k]
+			mayInsert := !before && !seen[e.key]
+			seen[e.key] = true
+			if res[j][i] {
+				continue
+			}
+			if !mayInsert {
+				return fmt.Sprintf("batch %d pos %d (key %d): inserted, want existed", j, i, e.key)
+			}
+			if _, dup := winner[k]; dup {
+				return fmt.Sprintf("batch %d pos %d (key %d): inserted twice", j, i, e.key)
+			}
+			winner[k] = val(e.val)
+		}
+	}
+	for _, b := range batches {
+		for _, e := range b {
+			k := string(key(e.key))
+			if _, before := model[k]; !before && winner[k] == nil {
+				return fmt.Sprintf("key %d: absent but no batch inserted it", e.key)
+			}
+		}
+	}
+	for k, v := range winner {
+		model[k] = v
+	}
+	return ""
+}
+
+// randomBatch returns 1–20 pairs: either a contiguous key run (like a
+// new-order's order lines, spanning several MaxKeys=4 leaves) or keys drawn
+// at random, with an occasional repeat of a key already in the batch.
+func randomBatch(rng *rand.Rand, keySpace int) []kv {
+	n := 1 + rng.Intn(20)
+	b := make([]kv, n)
+	start := rng.Intn(keySpace)
+	contiguous := rng.Intn(2) == 0
+	for i := range b {
+		b[i] = kv{key: rng.Intn(keySpace), val: rng.Intn(1000)}
+		if contiguous {
+			b[i].key = (start + i) % keySpace
+		}
+		if i > 0 && rng.Intn(5) == 0 {
+			b[i].key = b[rng.Intn(i)].key
+		}
+	}
+	return b
 }
 
 // scanMatchesModel compares a full scan with the sorted model content.
@@ -161,7 +274,8 @@ func scanMatchesModel(ctx env.Ctx, tr *btree.Tree, model map[string][]byte) stri
 }
 
 // shrinkOps greedily removes chunks of a failing op log while the failure
-// persists, ending with a (locally) minimal reproduction.
+// persists, then whole batches and single pairs from the batch ops that
+// remain, ending with a (locally) minimal reproduction.
 func shrinkOps(t *testing.T, ops []treeOp) []treeOp {
 	t.Helper()
 	for chunk := len(ops) / 2; chunk >= 1; chunk /= 2 {
@@ -174,10 +288,39 @@ func shrinkOps(t *testing.T, ops []treeOp) []treeOp {
 			}
 		}
 	}
+	// tryBatches swaps in op i's candidate batches if the log still fails.
+	tryBatches := func(i int, batches [][]kv) bool {
+		cand := append([]treeOp{}, ops...)
+		cand[i].batches = batches
+		if applyOps(t, cand) == "" {
+			return false
+		}
+		ops = cand
+		return true
+	}
+	for i := range ops {
+		for j := 0; j < len(ops[i].batches) && len(ops[i].batches) > 1; {
+			bs := ops[i].batches
+			if !tryBatches(i, append(append([][]kv{}, bs[:j]...), bs[j+1:]...)) {
+				j++
+			}
+		}
+		for j := range ops[i].batches {
+			for p := 0; p < len(ops[i].batches[j]) && len(ops[i].batches[j]) > 1; {
+				bs := append([][]kv{}, ops[i].batches...)
+				bs[j] = append(append([]kv{}, bs[j][:p]...), bs[j][p+1:]...)
+				if !tryBatches(i, bs) {
+					p++
+				}
+			}
+		}
+	}
 	return ops
 }
 
 // TestTreePropertyVsModel drives random op logs against a model-map oracle.
+// Batch ops run InsertMany with duplicate keys, runs spanning several leaves
+// and splits in the middle of a batch, from up to three handles at once.
 // On failure it shrinks the log to a minimal reproduction and prints it with
 // the seed (replay with TELL_SEED).
 func TestTreePropertyVsModel(t *testing.T) {
@@ -190,7 +333,7 @@ func TestTreePropertyVsModel(t *testing.T) {
 		ops := make([]treeOp, opsPerRound)
 		for i := range ops {
 			o := treeOp{key: rng.Intn(keySpace), val: rng.Intn(1000)}
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(12); {
 			case r < 4:
 				o.kind = 'i'
 			case r < 6:
@@ -199,8 +342,18 @@ func TestTreePropertyVsModel(t *testing.T) {
 				o.kind = 'u'
 			case r < 9:
 				o.kind = 'l'
-			default:
+			case r < 10:
 				o.kind = 's'
+			default:
+				// One batch, or 2–3 handles inserting concurrently.
+				o.kind = 'b'
+				o.batches = make([][]kv, 1)
+				if rng.Intn(2) == 0 {
+					o.batches = make([][]kv, 2+rng.Intn(2))
+				}
+				for j := range o.batches {
+					o.batches[j] = randomBatch(rng, keySpace)
+				}
 			}
 			ops[i] = o
 		}

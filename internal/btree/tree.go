@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"tell/internal/env"
 	"tell/internal/sanitize"
@@ -280,39 +281,99 @@ func (t *Tree) Lookup(ctx env.Ctx, key []byte) ([]byte, bool, error) {
 // Insert adds (key, val) if key is absent. It reports whether the key
 // already existed (in which case nothing changes).
 func (t *Tree) Insert(ctx env.Ctx, key, val []byte) (existed bool, err error) {
-	for attempt := 0; attempt < t.Retries; attempt++ {
-		path, err := t.descend(ctx, key)
+	ex, err := t.InsertMany(ctx, [][]byte{key}, [][]byte{val})
+	if err != nil {
+		return false, err
+	}
+	return ex[0], nil
+}
+
+// InsertMany adds every (keys[i], vals[i]) whose key is absent, as if the
+// pairs were inserted one by one in slice order: existed[i] reports that
+// keys[i] was already in the tree or appeared earlier in the batch, and
+// such pairs change nothing.
+//
+// The pairs are sorted by key and applied leaf by leaf. Each round descends
+// to the leaf covering the first pending key, adds every pending key that
+// leaf covers to one cloned image, and installs it with a single
+// conditional put on the stamp the descent read (§5.3's LL/SC, once per
+// leaf rather than once per key). Keys beyond the leaf's high key wait for
+// the next round. Only a lost race costs a retry.
+func (t *Tree) InsertMany(ctx env.Ctx, keys, vals [][]byte) (existed []bool, err error) {
+	existed = make([]bool, len(keys))
+	pending := make([]int, len(keys))
+	for i := range pending {
+		pending[i] = i
+	}
+	// Stable, so among equal keys the first in slice order inserts.
+	slices.SortStableFunc(pending, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	for failed := 0; len(pending) > 0; {
+		n, err := t.insertRound(ctx, keys, vals, pending, existed)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		leaf := path[len(path)-1].n
-		stamp := path[len(path)-1].stamp
-		if _, ok := leaf.findKey(key); ok {
-			return true, nil
+		if n == 0 {
+			if failed++; failed >= t.Retries {
+				return nil, ErrRetriesExhausted
+			}
+			continue
 		}
-		nl := leaf.clone()
-		i, _ := nl.findKey(key)
-		nl.insertLeaf(i, key, val)
+		pending = pending[n:]
+	}
+	return existed, nil
+}
+
+// insertRound installs the pending keys that the leaf covering the first
+// pending key takes, with one conditional put (or one split), and returns
+// how many leading pending entries it settled. n == 0 with a nil error
+// means the leaf changed under us; the round's existed flags are then left
+// unset and the caller retries.
+func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, existed []bool) (n int, err error) {
+	path, err := t.descend(ctx, keys[pending[0]])
+	if err != nil {
+		return 0, err
+	}
+	leaf := path[len(path)-1].n
+	stamp := path[len(path)-1].stamp
+	nl := leaf
+	var dups []int
+	for ; n < len(pending); n++ {
+		// A split takes exactly MaxKeys+1 keys: once one key overflows
+		// the leaf, the rest wait for the next round.
+		if len(nl.keys) > t.MaxKeys {
+			break
+		}
+		k := keys[pending[n]]
+		if !leaf.covers(k) {
+			break
+		}
+		i, ok := nl.findKey(k)
+		if ok {
+			dups = append(dups, pending[n])
+			continue
+		}
+		if nl == leaf {
+			nl = leaf.clone()
+		}
+		nl.insertLeaf(i, k, vals[pending[n]])
+	}
+	if nl != leaf {
 		if len(nl.keys) <= t.MaxKeys {
-			_, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
-			if err == nil {
-				return false, nil
-			}
+			_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
 			if err == store.ErrConflict || err == store.ErrNotFound {
-				continue // raced; retry from descent
+				return 0, nil // raced; retry from descent
 			}
-			return false, err
-		}
-		// Split required.
-		done, err := t.splitLeafAndInsert(ctx, path, nl, stamp)
-		if err != nil {
-			return false, err
-		}
-		if done {
-			return false, nil
+			if err != nil {
+				return 0, err
+			}
+		} else if done, err := t.splitLeafAndInsert(ctx, path, nl, stamp); err != nil || !done {
+			return 0, err
 		}
 	}
-	return false, ErrRetriesExhausted
+	for _, i := range dups {
+		existed[i] = true
+	}
+	return n, nil
 }
 
 // splitLeafAndInsert installs nl (already containing the new key and

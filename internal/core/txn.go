@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"tell/internal/btree"
 	"tell/internal/det"
 	"tell/internal/env"
 	"tell/internal/mvcc"
@@ -642,20 +643,33 @@ func RollbackVersion(ctx env.Ctx, sc *store.Client, key []byte, tid uint64) erro
 // maintainIndexes inserts the index entries required by this transaction's
 // writes. Indexes are version-unaware (§5.3.2): new entries appear only for
 // inserts and for updates that changed an indexed key; obsolete entries are
-// garbage collected by readers (§5.4). The tree operations are independent
-// and run concurrently so the request batcher coalesces their traffic
+// garbage collected by readers (§5.4). Entries are grouped per tree and each
+// group goes in with one InsertMany, so keys sharing a leaf (a new-order's
+// order lines) share one conditional put instead of racing each other. The
+// groups run concurrently so the request batcher coalesces their traffic
 // (§5.1).
 func (t *Txn) maintainIndexes(ctx env.Ctx) error {
-	var ops []func(env.Ctx) error
+	var batches []*indexBatch
+	byTree := make(map[*btree.Tree]*indexBatch)
+	add := func(tree *btree.Tree, pk *TableInfo, key []byte, rid uint64) {
+		b := byTree[tree]
+		if b == nil {
+			b = &indexBatch{tree: tree, pk: pk}
+			byTree[tree] = b
+			batches = append(batches, b)
+		}
+		b.keys = append(b.keys, key)
+		b.vals = append(b.vals, relational.RidToIndexVal(rid))
+	}
 	for _, ks := range t.order {
 		w := t.writes[ks]
 		ctx.Work(t.pn.cfg.Costs.IndexOp)
 		if w.isInsert {
-			ops = append(ops, t.pkInsertOp(w.table, w.table.PKKey(w.newRow), w.rid))
+			add(w.table.PK, w.table, w.table.PKKey(w.newRow), w.rid)
 			for _, name := range det.Keys(w.table.Sec) {
 				ix := t.secSchema(w.table, name)
 				key := relational.AppendRid(relational.IndexKeyFromRow(w.newRow, ix.Cols), w.rid)
-				ops = append(ops, t.secInsertOp(w.table.Sec[name], key, w.rid))
+				add(w.table.Sec[name], nil, key, w.rid)
 			}
 			continue
 		}
@@ -664,58 +678,63 @@ func (t *Txn) maintainIndexes(ctx env.Ctx) error {
 		}
 		// Updates: insert entries only for changed indexed keys.
 		for _, name := range det.Keys(w.table.Sec) {
-			tree := w.table.Sec[name]
 			ix := t.secSchema(w.table, name)
 			oldKey := relational.IndexKeyFromRow(w.oldRow, ix.Cols)
 			newKey := relational.IndexKeyFromRow(w.newRow, ix.Cols)
 			if string(oldKey) == string(newKey) {
 				continue
 			}
-			ops = append(ops, t.secInsertOp(tree, relational.AppendRid(newKey, w.rid), w.rid))
+			add(w.table.Sec[name], nil, relational.AppendRid(newKey, w.rid), w.rid)
 		}
 		oldPK := w.table.PKKey(w.oldRow)
 		newPK := w.table.PKKey(w.newRow)
 		if string(oldPK) != string(newPK) {
-			ops = append(ops, t.pkInsertOp(w.table, newPK, w.rid))
+			add(w.table.PK, w.table, newPK, w.rid)
 		}
+	}
+	ops := make([]func(env.Ctx) error, len(batches))
+	for i, b := range batches {
+		b := b
+		ops[i] = func(ictx env.Ctx) error { return t.insertBatch(ictx, b) }
 	}
 	return t.parallelIndexOps(ctx, ops)
 }
 
-// pkInsertOp builds the primary-key insertion closure with the
-// duplicate-key check.
-func (t *Txn) pkInsertOp(table *TableInfo, pkKey []byte, rid uint64) func(env.Ctx) error {
-	return func(ictx env.Ctx) error {
-		existed, err := table.PK.Insert(ictx, pkKey, relational.RidToIndexVal(rid))
-		if err != nil {
-			return err
-		}
-		if !existed {
-			return nil
-		}
-		// Another rid already owns this primary key. If its record is
-		// alive this is a duplicate-key violation; otherwise the entry
-		// is stale and can be replaced.
-		dup, err := t.pkAlive(ictx, table, pkKey, rid)
-		if err != nil {
-			return err
-		}
-		if dup {
-			return ErrDuplicateKey
-		}
-		_, err = table.PK.Update(ictx, pkKey, relational.RidToIndexVal(rid))
-		return err
-	}
+// indexBatch is one tree's share of a transaction's index entries.
+type indexBatch struct {
+	tree *btree.Tree
+	// pk is the owning table when tree is its primary-key index: keys
+	// that already exist then take the duplicate-key check.
+	pk         *TableInfo
+	keys, vals [][]byte // vals hold the entries' rids
 }
 
-// secInsertOp builds a secondary-index insertion closure.
-func (t *Txn) secInsertOp(tree interface {
-	Insert(ctx env.Ctx, key, val []byte) (bool, error)
-}, key []byte, rid uint64) func(env.Ctx) error {
-	return func(ictx env.Ctx) error {
-		_, err := tree.Insert(ictx, key, relational.RidToIndexVal(rid))
+// insertBatch inserts one tree's entries. For a primary-key tree, a key
+// that already exists is owned by another rid: if that record is alive this
+// is a duplicate-key violation (which wins over other errors); otherwise
+// the entry is stale and is replaced.
+func (t *Txn) insertBatch(ctx env.Ctx, b *indexBatch) error {
+	existed, err := b.tree.InsertMany(ctx, b.keys, b.vals)
+	if err != nil || b.pk == nil {
 		return err
 	}
+	var firstErr error
+	for i, ex := range existed {
+		if !ex {
+			continue
+		}
+		dup, err := t.pkAlive(ctx, b.pk, b.keys[i], relational.RidFromIndexVal(b.vals[i]))
+		if err == nil && dup {
+			return ErrDuplicateKey
+		}
+		if err == nil {
+			_, err = b.tree.Update(ctx, b.keys[i], b.vals[i])
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
 }
 
 // pkAlive reports whether the existing PK entry points at a record that

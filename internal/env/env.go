@@ -96,6 +96,11 @@ type Queue interface {
 	Get(ctx Ctx) (v any, ok bool)
 	// GetTimeout is like Get but gives up after d.
 	GetTimeout(ctx Ctx, d time.Duration) (v any, ok, timedOut bool)
+	// TryGet pops the head value without blocking; ok is false when the
+	// queue is empty. Unlike a Len check followed by Get, it is atomic, so
+	// several consumers can drain one queue without parking on a value a
+	// sibling took in between.
+	TryGet() (v any, ok bool)
 	Close()
 	Len() int
 }

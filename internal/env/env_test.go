@@ -132,6 +132,53 @@ func TestRealQueue(t *testing.T) {
 	}
 }
 
+// TestRealQueueDrainManyConsumers has several consumers block on Get and
+// then drain with TryGet, the store batcher's pattern. Every value arrives
+// exactly once and no consumer parks on a value a sibling took.
+func TestRealQueueDrainManyConsumers(t *testing.T) {
+	e := env.NewReal(7)
+	n := e.NewNode("n1", 4)
+	q := e.NewQueue()
+	const consumers, values = 4, 20000
+	var got atomic.Int64
+	var wg sync.WaitGroup
+	seen := make([]atomic.Int32, values)
+	for c := 0; c < consumers; c++ {
+		wg.Add(1)
+		n.Go("c", func(ctx env.Ctx) {
+			defer wg.Done()
+			for {
+				v, ok := q.Get(ctx)
+				if !ok {
+					return
+				}
+				for ok {
+					seen[v.(int)].Add(1)
+					got.Add(1)
+					v, ok = q.TryGet()
+				}
+			}
+		})
+	}
+	for i := 0; i < values; i++ {
+		q.Put(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for got.Load() < values && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	q.Close()
+	wg.Wait()
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Fatalf("value %d received %d times", i, c)
+		}
+	}
+	if _, ok := q.TryGet(); ok {
+		t.Fatal("TryGet on an empty queue returned a value")
+	}
+}
+
 func TestRealQueueTimeout(t *testing.T) {
 	e := env.NewReal(7)
 	n := e.NewNode("n1", 1)

@@ -120,6 +120,12 @@ func (q *realQueue) Len() int {
 	return len(q.buf) - q.head
 }
 
+func (q *realQueue) TryGet() (any, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pop()
+}
+
 func (q *realQueue) pop() (any, bool) {
 	if q.head < len(q.buf) {
 		v := q.buf[q.head]

@@ -2,6 +2,7 @@ package resil
 
 import (
 	"fmt"
+	"slices"
 
 	"tell/internal/det"
 	"tell/internal/sanitize"
@@ -66,9 +67,21 @@ type Window struct {
 }
 
 type clientWindow struct {
-	floor    uint64            // seqs <= floor may have been evicted
-	done     map[uint64][]byte // seq -> cached encoded response
+	floor uint64            // seqs <= floor may have been evicted
+	done  map[uint64][]byte // seq -> cached encoded response
+	// seqs holds done's keys in ascending order, so eviction takes the
+	// lowest seqs from the front instead of sorting done on every commit.
+	seqs     []uint64
 	inflight map[uint64]struct{}
+}
+
+// remember caches resp under seq, keeping seqs sorted. Seqs mostly arrive
+// in order, so the insert is usually an append.
+func (c *clientWindow) remember(seq uint64, resp []byte) {
+	if i, found := slices.BinarySearch(c.seqs, seq); !found {
+		c.seqs = slices.Insert(c.seqs, i, seq)
+	}
+	c.done[seq] = resp
 }
 
 // NewWindow returns a dedup window keeping up to cap completed entries per
@@ -129,15 +142,15 @@ func (w *Window) Commit(client string, seq uint64, resp []byte) {
 	defer w.mu.Unlock()
 	c := w.client(client)
 	delete(c.inflight, seq)
-	c.done[seq] = append([]byte(nil), resp...)
-	if len(c.done) > w.cap() {
-		seqs := det.Keys(c.done)
-		for _, s := range seqs[:len(seqs)-w.cap()] {
+	c.remember(seq, append([]byte(nil), resp...))
+	if n := len(c.seqs) - w.cap(); n > 0 {
+		for _, s := range c.seqs[:n] {
 			delete(c.done, s)
 			if s > c.floor {
 				c.floor = s
 			}
 		}
+		c.seqs = c.seqs[n:]
 	}
 }
 
@@ -189,7 +202,7 @@ func (w *Window) Encode() []byte {
 		wr.String(id)
 		wr.Uvarint(c.floor)
 		wr.Uvarint(uint64(len(c.done)))
-		for _, seq := range det.Keys(c.done) {
+		for _, seq := range c.seqs {
 			wr.Uvarint(seq)
 			wr.BytesN(c.done[seq])
 		}
@@ -221,7 +234,7 @@ func DecodeWindow(b []byte) (*Window, error) {
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			c.done[seq] = append([]byte(nil), resp...)
+			c.remember(seq, append([]byte(nil), resp...))
 		}
 	}
 	return w, r.Close()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"tell/internal/resil"
@@ -169,6 +170,94 @@ func TestDecodeWindowRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := resil.DecodeWindow(b); err == nil {
 			t.Errorf("DecodeWindow(%v) accepted garbage", b)
+		}
+	}
+}
+
+// sortEvictModel is the window's original eviction rule, kept as the
+// oracle for the ordered eviction: after each commit, sort every cached seq
+// and evict the lowest ones beyond Cap, raising the floor to the highest
+// seq evicted.
+type sortEvictModel struct {
+	cap   int
+	floor uint64
+	done  map[uint64][]byte
+}
+
+func (m *sortEvictModel) commit(seq uint64, resp []byte) {
+	m.done[seq] = resp
+	if len(m.done) > m.cap {
+		seqs := make([]uint64, 0, len(m.done))
+		for s := range m.done {
+			seqs = append(seqs, s)
+		}
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		for _, s := range seqs[:len(seqs)-m.cap] {
+			delete(m.done, s)
+			if s > m.floor {
+				m.floor = s
+			}
+		}
+	}
+}
+
+// TestWindowEvictionMatchesSortModel replays random, partly out-of-order
+// seq streams (local shuffles, repeats, and late commits below the floor)
+// and checks after every commit that the window caches exactly the model's
+// seqs with the model's floor, as observed through Begin.
+func TestWindowEvictionMatchesSortModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(testutil.Seed(t, 5)))
+	for stream := 0; stream < 40; stream++ {
+		capN := 1 + rng.Intn(24)
+		w := resil.NewWindow(capN)
+		m := &sortEvictModel{cap: capN, done: make(map[uint64][]byte)}
+		var seqs []uint64
+		for base := uint64(1); base < 300; {
+			// A run of consecutive seqs delivered in a shuffled order.
+			run := 1 + rng.Intn(8)
+			chunk := make([]uint64, run)
+			for i := range chunk {
+				chunk[i] = base + uint64(i)
+			}
+			rng.Shuffle(len(chunk), func(i, j int) { chunk[i], chunk[j] = chunk[j], chunk[i] })
+			seqs = append(seqs, chunk...)
+			base += uint64(run)
+			switch rng.Intn(6) {
+			case 0: // a repeat of a recent seq
+				seqs = append(seqs, seqs[rng.Intn(len(seqs))])
+			case 1: // a straggler far behind the frontier
+				seqs = append(seqs, 1+uint64(rng.Intn(int(base))))
+			}
+		}
+		var maxSeq uint64
+		for step, seq := range seqs {
+			resp := []byte(fmt.Sprintf("r%d-%d", seq, step))
+			w.Commit("c", seq, resp)
+			m.commit(seq, resp)
+			if seq > maxSeq {
+				maxSeq = seq
+			}
+			for s := uint64(1); s <= maxSeq+1; s++ {
+				want := resil.StateNew
+				if _, ok := m.done[s]; ok {
+					want = resil.StateReplay
+				} else if s <= m.floor {
+					want = resil.StateStale
+				}
+				got, st := w.Begin("c", s)
+				if st != want {
+					t.Fatalf("stream %d step %d (cap %d, commit %d): seq %d = %v, want %v (model floor %d)",
+						stream, step, capN, seq, s, st, want, m.floor)
+				}
+				switch st {
+				case resil.StateNew:
+					w.Abort("c", s)
+				case resil.StateReplay:
+					if !bytes.Equal(got, m.done[s]) {
+						t.Fatalf("stream %d step %d: seq %d replays %q, want %q", stream, step, s, got, m.done[s])
+					}
+				}
+			}
 		}
 	}
 }

@@ -81,6 +81,10 @@ func (q *Queue) pop() (any, bool) {
 	return nil, false
 }
 
+// TryGet pops the head value without blocking; ok is false when the queue
+// is empty.
+func (q *Queue) TryGet() (v any, ok bool) { return q.pop() }
+
 // Get blocks p until a value is available. ok is false if the queue closed.
 func (q *Queue) Get(p *Proc) (v any, ok bool) {
 	if v, ok := q.pop(); ok {

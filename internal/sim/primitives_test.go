@@ -56,6 +56,23 @@ func TestQueueBuffersWhenNoWaiter(t *testing.T) {
 	}
 }
 
+func TestQueueTryGet(t *testing.T) {
+	q := NewQueue(NewKernel(1))
+	if _, ok := q.TryGet(); ok {
+		t.Fatal("TryGet on an empty queue returned a value")
+	}
+	q.Put("a")
+	q.Put("b")
+	for _, want := range []string{"a", "b"} {
+		if v, ok := q.TryGet(); !ok || v != want {
+			t.Fatalf("TryGet = %v, %v; want %s", v, ok, want)
+		}
+	}
+	if _, ok := q.TryGet(); ok || q.Len() != 0 {
+		t.Fatalf("queue not drained: len %d", q.Len())
+	}
+}
+
 func TestQueueCloseWakesWaiters(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue(k)

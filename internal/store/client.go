@@ -382,11 +382,7 @@ func (b *batcher) run(ctx env.Ctx) {
 		if !ok {
 			return
 		}
-		batch := []*pendingOp{v.(*pendingOp)}
-		for b.q.Len() > 0 && len(batch) < b.c.MaxBatch {
-			v, _ := b.q.Get(ctx)
-			batch = append(batch, v.(*pendingOp))
-		}
+		batch := b.drain([]*pendingOp{v.(*pendingOp)})
 		// Adaptive deadline window: when recent traffic suggests more ops
 		// are coming, hold the batch briefly so concurrent transactions
 		// can widen it instead of paying their own round trip.
@@ -401,16 +397,26 @@ func (b *batcher) run(ctx env.Ctx) {
 				if timedOut || !ok {
 					break
 				}
-				batch = append(batch, v.(*pendingOp))
-				for b.q.Len() > 0 && len(batch) < b.c.MaxBatch {
-					v, _ := b.q.Get(ctx)
-					batch = append(batch, v.(*pendingOp))
-				}
+				batch = b.drain(append(batch, v.(*pendingOp)))
 			}
 		}
 		b.observe(len(batch))
 		b.send(ctx, batch, &resp)
 	}
+}
+
+// drain appends already-queued ops to batch, up to MaxBatch, without
+// blocking. Several senders share the queue, so each pop must be atomic: a
+// sibling may empty the queue at any moment.
+func (b *batcher) drain(batch []*pendingOp) []*pendingOp {
+	for len(batch) < b.c.MaxBatch {
+		v, ok := b.q.TryGet()
+		if !ok {
+			break
+		}
+		batch = append(batch, v.(*pendingOp))
+	}
+	return batch
 }
 
 // errOverload is the client-side face of wire.StatusOverload: the server's
