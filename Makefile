@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: test test-race chaos-race crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke golden-trace obs-golden ci
+.PHONY: test test-race chaos-race perfbench-test crash-matrix migrate-matrix fuzz-short vet lint lint-determinism sanitize bench-smoke golden-trace obs-golden ci
 
 test:
 	$(GO) test ./...
@@ -8,11 +8,16 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The bank chaos matrix under the race detector: fault injection + retries +
-# dedup exercise every cross-node locking path, which is exactly where a
-# data race would hide.
+# The bank and TPC-C chaos matrices under the race detector: fault
+# injection + retries + dedup exercise every cross-node locking path, which
+# is exactly where a data race would hide. The TPC-C matrix is also the
+# end-to-end snapshot-isolation gate (histcheck) for the B+tree read path.
 chaos-race:
-	$(GO) test -race ./internal/chaos -run TestBankChaosMatrix
+	$(GO) test -race ./internal/chaos -run 'TestBankChaosMatrix|TestTPCCChaosMatrix'
+
+# The benchmark harness's own unit tests (perfbench is a separate module).
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Durability proofs under the race detector: the crash-point sweep (kill the
 # disk at every WAL/checkpoint write boundary, replay, diff against the
@@ -92,6 +97,7 @@ ci:
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim \
 		./internal/metrics ./internal/btree ./internal/lint
 	$(MAKE) chaos-race
+	$(MAKE) perfbench-test
 	$(MAKE) crash-matrix
 	$(MAKE) migrate-matrix
 	$(GO) vet ./...

@@ -14,6 +14,7 @@ import (
 	"tell/internal/store"
 	"tell/internal/testutil"
 	"tell/internal/transport"
+	"tell/internal/wire"
 )
 
 type treeHarness struct {
@@ -323,6 +324,106 @@ func TestInnerNodeCachingReducesReads(t *testing.T) {
 			t.Fatalf("caching did not reduce reads: %d >= %d", withCache, withoutCache)
 		}
 		t.Logf("store reads: cached=%d uncached=%d", withCache, withoutCache)
+	})
+}
+
+// nodeGet is one observed store Get of a tree node: the stamp the request
+// carried and what the response shipped back.
+type nodeGet struct {
+	sent   uint64
+	status wire.Status
+	valLen int
+	stamp  uint64
+}
+
+// nodeGetRecorder watches the simulated network (through the fault hook,
+// injecting nothing) and records every Get of a key under prefix, pairing
+// each single-op request with the response that follows it.
+type nodeGetRecorder struct {
+	prefix  []byte
+	pending []*nodeGet // requests awaiting their response; nil = not a node Get
+	gets    []*nodeGet
+}
+
+func (r *nodeGetRecorder) observe(_, _ string, payload []byte) transport.Fault {
+	switch wire.PeekKind(payload) {
+	case wire.KindStoreReq:
+		req, err := wire.DecodeStoreRequest(payload)
+		if err != nil || len(req.Ops) != 1 {
+			return transport.Fault{}
+		}
+		var g *nodeGet
+		if op := req.Ops[0]; op.Code == wire.OpGet && bytes.HasPrefix(op.Key, r.prefix) {
+			g = &nodeGet{sent: op.Stamp}
+			r.gets = append(r.gets, g)
+		}
+		r.pending = append(r.pending, g)
+	case wire.KindStoreResp:
+		resp, err := wire.DecodeStoreResponse(payload)
+		if err != nil || len(r.pending) == 0 {
+			return transport.Fault{}
+		}
+		g := r.pending[0]
+		r.pending = r.pending[1:]
+		if g != nil && len(resp.Results) == 1 {
+			g.status, g.valLen, g.stamp = resp.Results[0].Status, len(resp.Results[0].Val), resp.Results[0].Stamp
+		}
+	}
+	return transport.Fault{}
+}
+
+// TestUnchangedLeafShipsNoBytes pins the leaf cache: a second lookup of an
+// unchanged leaf still costs exactly one store Get, which returns the
+// leaf's current LL stamp but ships no value bytes. Once another handle
+// rewrites the leaf, the next lookup ships the new image under a new stamp.
+func TestUnchangedLeafShipsNoBytes(t *testing.T) {
+	h := newTreeHarness(t, 2)
+	h.run(t, func(ctx env.Ctx) {
+		btree.Create(ctx, "t", h.client)
+		loader := btree.New("t", h.client)
+		loader.MaxKeys = 8
+		for i := 0; i < 40; i++ {
+			loader.Insert(ctx, key(i), val(i))
+		}
+		tr := btree.New("t", h.cluster.NewClient(h.pn))
+		rec := &nodeGetRecorder{prefix: []byte("idx/t/n/")}
+		h.net.SetFaultFn(rec.observe)
+		// lookup runs one Lookup of key 17 and returns the node Gets it
+		// issued; the last one is the leaf (no right-moves in a quiet tree).
+		lookup := func(want []byte) []*nodeGet {
+			t.Helper()
+			before := len(rec.gets)
+			v, ok, err := tr.Lookup(ctx, key(17))
+			if err != nil || !ok || !bytes.Equal(v, want) {
+				t.Fatalf("lookup: %q %v %v", v, ok, err)
+			}
+			return rec.gets[before:]
+		}
+		first := lookup(val(17))
+		leaf := first[len(first)-1]
+		if leaf.sent != 0 || leaf.status != wire.StatusOK || leaf.valLen == 0 {
+			t.Fatalf("cold leaf read: %+v, want an unconditional read shipping the leaf", *leaf)
+		}
+		second := lookup(val(17))
+		if len(second) != 1 {
+			t.Fatalf("warm lookup issued %d node Gets, want 1 (the leaf)", len(second))
+		}
+		if g := second[0]; g.sent != leaf.stamp || g.status != wire.StatusUnchanged || g.valLen != 0 || g.stamp != leaf.stamp {
+			t.Fatalf("warm leaf read: %+v, want Unchanged at stamp %d with no value bytes", *g, leaf.stamp)
+		}
+		// Another handle rewrites the leaf: the next revalidation ships it.
+		other := btree.New("t", h.client)
+		if ok, err := other.Update(ctx, key(17), []byte("new")); !ok || err != nil {
+			t.Fatalf("update: %v %v", ok, err)
+		}
+		third := lookup([]byte("new"))
+		if len(third) != 1 {
+			t.Fatalf("lookup after a remote write issued %d node Gets, want 1", len(third))
+		}
+		if g := third[0]; g.sent != leaf.stamp || g.status != wire.StatusOK || g.valLen == 0 || g.stamp <= leaf.stamp {
+			t.Fatalf("leaf read after a remote write: %+v, want the new image under a stamp above %d", *g, leaf.stamp)
+		}
+		h.net.SetFaultFn(nil)
 	})
 }
 

@@ -6,9 +6,12 @@
 // so readers that race with a split simply "move right" instead of
 // retrying from the root.
 //
-// Inner nodes are cached on the processing node; leaf nodes are always
-// fetched from the store (§5.3.1). When a leaf's range no longer matches
-// what the cached parent promised, the parent is refreshed from the store.
+// Inner nodes are cached on the processing node (§5.3.1). Leaves are cached
+// too, but every access revalidates the image rather than trusting it: the
+// read is a conditional Get carrying the image's stamp, which returns the
+// current LL stamp in one store op and ships the leaf only when it changed.
+// When a leaf's range no longer matches what the cached parent promised,
+// the parent is refreshed from the store.
 //
 // Indexes are version-unaware (§5.3.2): one entry per record, not per
 // version, so entries are only inserted when the indexed key changes, and

@@ -18,6 +18,9 @@ type treeOp struct {
 	kind byte // 'i' insert, 'd' delete, 'u' update, 'l' lookup, 's' scan, 'b' batches
 	key  int
 	val  int
+	// h is the Tree handle a single-key op or scan runs on, so handles
+	// read leaves that other handles wrote into their caches.
+	h int
 	// batches holds, for kind 'b', one InsertMany batch per Tree handle;
 	// the handles run their batches concurrently.
 	batches [][]kv
@@ -29,13 +32,13 @@ type kv struct{ key, val int }
 func (o treeOp) String() string {
 	switch o.kind {
 	case 'i':
-		return fmt.Sprintf("insert(%d,%d)", o.key, o.val)
+		return fmt.Sprintf("h%d.insert(%d,%d)", o.h, o.key, o.val)
 	case 'd':
-		return fmt.Sprintf("delete(%d)", o.key)
+		return fmt.Sprintf("h%d.delete(%d)", o.h, o.key)
 	case 'u':
-		return fmt.Sprintf("update(%d,%d)", o.key, o.val)
+		return fmt.Sprintf("h%d.update(%d,%d)", o.h, o.key, o.val)
 	case 'l':
-		return fmt.Sprintf("lookup(%d)", o.key)
+		return fmt.Sprintf("h%d.lookup(%d)", o.h, o.key)
 	case 'b':
 		parts := make([]string, len(o.batches))
 		for j, b := range o.batches {
@@ -47,7 +50,7 @@ func (o treeOp) String() string {
 		}
 		return "batch(" + strings.Join(parts, " | ") + ")"
 	default:
-		return "scan()"
+		return fmt.Sprintf("h%d.scan()", o.h)
 	}
 }
 
@@ -72,17 +75,17 @@ func applyOps(t *testing.T, ops []treeOp) string {
 			failure = fmt.Sprintf("create: %v", err)
 			return
 		}
-		// Three handles share the stored tree, each with its own inner-node
-		// cache; handle 0 runs every single-key op.
+		// Three handles share the stored tree, each with its own node
+		// cache; every op names the handle it runs on.
 		handles := make([]*btree.Tree, 3)
 		for j := range handles {
 			handles[j] = btree.New("prop", h.client)
 			handles[j].MaxKeys = 4 // tiny fanout: a few dozen keys exercise splits and depth
 		}
-		tr := handles[0]
 		model := make(map[string][]byte)
 		for i, o := range ops {
 			k, v := key(o.key), val(o.val)
+			tr := handles[o.h]
 			switch o.kind {
 			case 'i':
 				existed, err := tr.Insert(ctx, k, v)
@@ -171,7 +174,12 @@ func applyOps(t *testing.T, ops []treeOp) string {
 				}
 			}
 		}
-		failure = scanMatchesModel(ctx, tr, model)
+		for j, tr := range handles {
+			if failure = scanMatchesModel(ctx, tr, model); failure != "" {
+				failure = fmt.Sprintf("final scan on h%d: %s", j, failure)
+				return
+			}
+		}
 	})
 	return failure
 }
@@ -321,6 +329,8 @@ func shrinkOps(t *testing.T, ops []treeOp) []treeOp {
 // TestTreePropertyVsModel drives random op logs against a model-map oracle.
 // Batch ops run InsertMany with duplicate keys, runs spanning several leaves
 // and splits in the middle of a batch, from up to three handles at once.
+// Single-key ops and scans rotate over the same three handles, so a handle
+// keeps revalidating cached leaves that the others have since rewritten.
 // On failure it shrinks the log to a minimal reproduction and prints it with
 // the seed (replay with TELL_SEED).
 func TestTreePropertyVsModel(t *testing.T) {
@@ -332,7 +342,7 @@ func TestTreePropertyVsModel(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		ops := make([]treeOp, opsPerRound)
 		for i := range ops {
-			o := treeOp{key: rng.Intn(keySpace), val: rng.Intn(1000)}
+			o := treeOp{key: rng.Intn(keySpace), val: rng.Intn(1000), h: rng.Intn(3)}
 			switch r := rng.Intn(12); {
 			case r < 4:
 				o.kind = 'i'

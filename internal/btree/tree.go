@@ -20,7 +20,7 @@ var (
 
 // Tree is a processing node's handle to one shared distributed B+tree.
 // Multiple Trees (one per PN) operate on the same stored structure
-// concurrently; each keeps its own inner-node cache.
+// concurrently; each keeps its own node cache.
 type Tree struct {
 	name string
 	sc   *store.Client
@@ -33,13 +33,24 @@ type Tree struct {
 	// Retries bounds optimistic retry loops.
 	Retries int
 
-	mu        sanitize.Mutex
-	cache     map[uint64]*node
+	mu sanitize.Mutex
+	// cache maps a node id to its decoded image and the stamp the store
+	// assigned to exactly those bytes. Inner nodes (when CacheInner) are
+	// served from it without a round trip; leaves are revalidated on every
+	// access with a conditional Get, which ships the leaf only when its
+	// stamp moved. Images are never mutated: writers clone first.
+	cache     map[uint64]cachedNode
 	root      *rootPtr
 	idNext    uint64
 	idEnd     uint64
 	reads     uint64
 	cacheHits uint64
+}
+
+// cachedNode is one node image paired with its store stamp.
+type cachedNode struct {
+	n     *node
+	stamp uint64
 }
 
 // idRangeSize is how many node ids one counter bump reserves.
@@ -54,7 +65,7 @@ func New(name string, sc *store.Client) *Tree {
 		MaxKeys:    64,
 		CacheInner: true,
 		Retries:    64,
-		cache:      make(map[uint64]*node),
+		cache:      make(map[uint64]cachedNode),
 	}
 	t.mu.SetName("btree.Tree.mu")
 	return t
@@ -137,34 +148,49 @@ func (t *Tree) loadRoot(ctx env.Ctx, fresh bool) (rootPtr, error) {
 }
 
 // loadNode fetches a node. Inner nodes may be served from and are added to
-// the cache; leaves always come from the store with their LL stamp.
+// the cache. A leaf always costs one store read that returns its current LL
+// stamp, but the read carries the stamp of the cached image, so the store
+// ships the leaf (and the handle decodes it) only when it changed.
 func (t *Tree) loadNode(ctx env.Ctx, id uint64, wantLeaf bool) (*node, uint64, error) {
-	if !wantLeaf && t.CacheInner {
-		t.mu.Lock()
-		if n, ok := t.cache[id]; ok {
-			t.cacheHits++
-			t.mu.Unlock()
-			return n, 0, nil
-		}
+	t.mu.Lock()
+	c, ok := t.cache[id]
+	if ok && !wantLeaf && t.CacheInner {
+		t.cacheHits++
 		t.mu.Unlock()
+		return c.n, 0, nil
 	}
-	raw, stamp, err := t.sc.Get(ctx, nodeKey(t.name, id))
+	t.mu.Unlock()
+	raw, stamp, changed, err := t.sc.GetIfChanged(ctx, nodeKey(t.name, id), c.stamp)
+	if err == store.ErrNotFound {
+		t.invalidate(id)
+	}
 	if err != nil {
 		return nil, 0, err
 	}
 	t.mu.Lock()
 	t.reads++
 	t.mu.Unlock()
+	if !changed {
+		return c.n, stamp, nil
+	}
 	n, err := decodeNode(id, raw)
 	if err != nil {
 		return nil, 0, err
 	}
-	if !n.leaf() && t.CacheInner {
-		t.mu.Lock()
-		t.cache[id] = n
-		t.mu.Unlock()
+	if n.leaf() || t.CacheInner {
+		t.install(n, stamp)
 	}
 	return n, stamp, nil
+}
+
+// install caches n as the image the store holds under stamp, unless the
+// cache already has a newer one (a key's stamps only grow).
+func (t *Tree) install(n *node, stamp uint64) {
+	t.mu.Lock()
+	if c, ok := t.cache[n.id]; !ok || c.stamp <= stamp {
+		t.cache[n.id] = cachedNode{n: n, stamp: stamp}
+	}
+	t.mu.Unlock()
 }
 
 // invalidate drops a node from the cache (stale parent detected, §5.3.1).
@@ -178,7 +204,7 @@ func (t *Tree) invalidate(id uint64) {
 // changed under us in a way right-moves cannot absorb.
 func (t *Tree) invalidateAll() {
 	t.mu.Lock()
-	t.cache = make(map[uint64]*node)
+	t.cache = make(map[uint64]cachedNode)
 	t.root = nil
 	t.mu.Unlock()
 }
@@ -265,7 +291,8 @@ func (t *Tree) tryDescend(ctx env.Ctx, key []byte) ([]pathEntry, error) {
 	}
 }
 
-// Lookup returns the value stored under key.
+// Lookup returns the value stored under key. The value aliases the
+// handle's cached leaf image and must not be modified.
 func (t *Tree) Lookup(ctx env.Ctx, key []byte) ([]byte, bool, error) {
 	path, err := t.descend(ctx, key)
 	if err != nil {
@@ -291,7 +318,8 @@ func (t *Tree) Insert(ctx env.Ctx, key, val []byte) (existed bool, err error) {
 // InsertMany adds every (keys[i], vals[i]) whose key is absent, as if the
 // pairs were inserted one by one in slice order: existed[i] reports that
 // keys[i] was already in the tree or appeared earlier in the batch, and
-// such pairs change nothing.
+// such pairs change nothing. The handle's cache keeps the inserted key
+// and value slices, so callers must not modify them afterwards.
 //
 // The pairs are sorted by key and applied leaf by leaf. Each round descends
 // to the leaf covering the first pending key, adds every pending key that
@@ -359,13 +387,14 @@ func (t *Tree) insertRound(ctx env.Ctx, keys, vals [][]byte, pending []int, exis
 	}
 	if nl != leaf {
 		if len(nl.keys) <= t.MaxKeys {
-			_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
+			newStamp, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
 			if err == store.ErrConflict || err == store.ErrNotFound {
 				return 0, nil // raced; retry from descent
 			}
 			if err != nil {
 				return 0, err
 			}
+			t.install(nl, newStamp)
 		} else if done, err := t.splitLeafAndInsert(ctx, path, nl, stamp); err != nil || !done {
 			return 0, err
 		}
@@ -403,12 +432,14 @@ func (t *Tree) splitLeafAndInsert(ctx env.Ctx, path []pathEntry, nl *node, stamp
 		vals:    append([][]byte(nil), nl.vals[:mid]...),
 	}
 	// 1. Create the right node (fresh id: cannot conflict).
-	if _, err := t.sc.CondPut(ctx, nodeKey(t.name, rightID), right.encode(), 0); err != nil {
+	rightStamp, err := t.sc.CondPut(ctx, nodeKey(t.name, rightID), right.encode(), 0)
+	if err != nil {
 		return false, err
 	}
 	// 2. Shrink the left node conditionally: this is the linearization
 	// point of the split.
-	if _, err := t.sc.CondPut(ctx, nodeKey(t.name, left.id), left.encode(), stamp); err != nil {
+	leftStamp, err := t.sc.CondPut(ctx, nodeKey(t.name, left.id), left.encode(), stamp)
+	if err != nil {
 		// Raced: orphan the right node and retry.
 		t.sc.Delete(ctx, nodeKey(t.name, rightID), 0)
 		if err == store.ErrConflict || err == store.ErrNotFound {
@@ -416,6 +447,8 @@ func (t *Tree) splitLeafAndInsert(ctx env.Ctx, path []pathEntry, nl *node, stamp
 		}
 		return false, err
 	}
+	t.install(right, rightStamp)
+	t.install(left, leftStamp)
 	if sc := ctx.Trace(); sc.R.Enabled() {
 		sc.R.Instant(sc.Span, ctx.Node().Name(), "btree-split-leaf",
 			int64(left.id), int64(rightID))
@@ -661,8 +694,9 @@ func (t *Tree) Delete(ctx env.Ctx, key []byte) (bool, error) {
 		}
 		nl := leaf.clone()
 		nl.removeLeaf(i)
-		_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
+		newStamp, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
 		if err == nil {
+			t.install(nl, newStamp)
 			return true, nil
 		}
 		if err == store.ErrConflict || err == store.ErrNotFound {
@@ -674,6 +708,7 @@ func (t *Tree) Delete(ctx env.Ctx, key []byte) (bool, error) {
 }
 
 // Update replaces the value under key, reporting whether it was present.
+// Like InsertMany, it keeps val in the handle's cache.
 func (t *Tree) Update(ctx env.Ctx, key, val []byte) (bool, error) {
 	for attempt := 0; attempt < t.Retries; attempt++ {
 		path, err := t.descend(ctx, key)
@@ -688,8 +723,9 @@ func (t *Tree) Update(ctx env.Ctx, key, val []byte) (bool, error) {
 		}
 		nl := leaf.clone()
 		nl.vals[i] = val
-		_, err = t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
+		newStamp, err := t.sc.CondPut(ctx, nodeKey(t.name, leaf.id), nl.encode(), stamp)
 		if err == nil {
+			t.install(nl, newStamp)
 			return true, nil
 		}
 		if err == store.ErrConflict || err == store.ErrNotFound {
@@ -702,6 +738,8 @@ func (t *Tree) Update(ctx env.Ctx, key, val []byte) (bool, error) {
 
 // Scan visits entries with lo <= key < hi in ascending order, following the
 // leaf chain. fn returning false stops the scan. hi == nil means unbounded.
+// The key and value slices fn sees alias cached leaf images: copy them to
+// keep or modify them.
 func (t *Tree) Scan(ctx env.Ctx, lo, hi []byte, fn func(key, val []byte) bool) error {
 	path, err := t.descend(ctx, lo)
 	if err != nil {

@@ -3,7 +3,6 @@ package commitmgr
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tell/internal/env"
@@ -88,23 +87,6 @@ type Client struct {
 	nFins    uint64
 }
 
-// cmClientInstances numbers client instances for token identity, per
-// environment: ids go into wire idempotency tokens, so a process-global
-// counter would make one run's message bytes (and its simulated timing)
-// depend on how many runs preceded it in the same process. Entries are
-// never deleted; environments are few and small per process.
-var (
-	cmClientInstMu sync.Mutex
-	cmClientInst   = make(map[env.Env]uint64)
-)
-
-func nextCMClientID(envr env.Env, node string) string {
-	cmClientInstMu.Lock()
-	defer cmClientInstMu.Unlock()
-	cmClientInst[envr]++
-	return fmt.Sprintf("%s#%d", node, cmClientInst[envr])
-}
-
 // NewClient creates a client that talks to the managers at addrs. The
 // coalesced protocol is on by default.
 func NewClient(envr env.Full, node env.Node, tr transport.Transport, addrs []string) *Client {
@@ -120,7 +102,7 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, addrs []str
 		Resil:          resil.NewRetrier(),
 		addrs:          append([]string(nil), addrs...),
 		conns:          make(map[string]transport.Conn),
-		clientID:       nextCMClientID(envr, nodeLabel(node)),
+		clientID:       fmt.Sprintf("%s#%d", nodeLabel(node), envr.NextInstance("commitmgr.Client")),
 	}
 	c.mu.SetName("commitmgr.Client.mu")
 	return c

@@ -13,6 +13,7 @@ package env
 
 import (
 	"math/rand"
+	"sync"
 	"time"
 
 	"tell/internal/trace"
@@ -24,6 +25,29 @@ type Env interface {
 	NewNode(name string, cores int) Node
 	// Now returns the time elapsed since the environment started.
 	Now() time.Duration
+	// NextInstance numbers component instances per family within this
+	// environment: 1, 2, ... for each family name. Clients use it to build
+	// idempotency-token identities that are unique within a deployment and
+	// restart with every fresh environment, so a simulated run's message
+	// bytes do not depend on how many runs preceded it in the process.
+	NextInstance(family string) uint64
+}
+
+// instances is the per-environment instance numbering behind
+// Env.NextInstance. It lives on the environment, so it is collected with it.
+type instances struct {
+	mu sync.Mutex
+	n  map[string]uint64
+}
+
+func (c *instances) NextInstance(family string) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.n == nil {
+		c.n = make(map[string]uint64)
+	}
+	c.n[family]++
+	return c.n[family]
 }
 
 // Node is a machine that can host concurrent activities.

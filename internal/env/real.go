@@ -11,6 +11,7 @@ import (
 // realEnv is the production environment: activities are goroutines, Sleep is
 // time.Sleep, Work is free, queues and futures are channel/condvar based.
 type realEnv struct {
+	instances
 	start time.Time
 	tr    *trace.Recorder
 	mu    sync.Mutex

@@ -10,6 +10,7 @@ import (
 
 // simEnv adapts the discrete-event simulator to the Env interfaces.
 type simEnv struct {
+	instances
 	k  *sim.Kernel
 	tr *trace.Recorder
 }

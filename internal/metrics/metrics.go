@@ -108,7 +108,9 @@ func (h *Histogram) Min() time.Duration { return h.min }
 func (h *Histogram) Max() time.Duration { return h.max }
 
 // Percentile returns the value at or below which p (0..100) percent of
-// observations fall, to bucket resolution.
+// observations fall, to bucket resolution. A bucket is represented by its
+// upper edge, clamped to the observed [Min, Max], so a percentile never
+// reports a latency outside the range actually seen.
 func (h *Histogram) Percentile(p float64) time.Duration {
 	if h.count == 0 {
 		return 0
@@ -118,13 +120,10 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 		target = 1
 	}
 	var seen uint64
-	for i := 0; i < nBuckets; i++ {
+	for i := 0; i < nBuckets-1; i++ {
 		seen += h.bucket[i]
 		if seen >= target {
-			if i == nBuckets-1 {
-				return h.max
-			}
-			return bucketValue(i)
+			return min(max(bucketValue(i), h.min), h.max)
 		}
 	}
 	return h.max

@@ -185,6 +185,33 @@ func TestHistogramBucketBoundaryAccuracy(t *testing.T) {
 	}
 }
 
+// TestHistogramPercentileClampsToObservedRange: a bucket's upper edge may
+// lie beyond every observation, so percentiles are clamped to [Min, Max].
+// Two identical samples must report exactly that value at every percentile,
+// and no percentile of a spread may leave the observed range.
+func TestHistogramPercentileClampsToObservedRange(t *testing.T) {
+	same := &Histogram{}
+	same.Record(4 * time.Millisecond)
+	same.Record(4 * time.Millisecond)
+	for _, p := range []float64{0, 1, 50, 99, 100} {
+		if got := same.Percentile(p); got != 4*time.Millisecond {
+			t.Errorf("two 4ms samples: p%v = %v, want 4ms", p, got)
+		}
+	}
+	spread := &Histogram{}
+	for _, d := range []time.Duration{1234 * time.Microsecond, 5 * time.Millisecond, 9876 * time.Microsecond} {
+		spread.Record(d)
+	}
+	for p := 0.0; p <= 100; p += 0.5 {
+		if got := spread.Percentile(p); got < spread.Min() || got > spread.Max() {
+			t.Errorf("p%v = %v outside observed [%v, %v]", p, got, spread.Min(), spread.Max())
+		}
+	}
+	if got := spread.Percentile(100); got != spread.Max() {
+		t.Errorf("p100 = %v, want the maximum %v", got, spread.Max())
+	}
+}
+
 func TestRates(t *testing.T) {
 	if got := PerMinute(600, time.Minute); got != 600 {
 		t.Fatalf("PerMinute = %v", got)

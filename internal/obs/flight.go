@@ -106,7 +106,9 @@ func (f *Flight) observe(at time.Duration, class string, root trace.SpanID,
 	if reason == "" && slow > 0 && e2e >= slow {
 		reason, threshold = "slow", slow
 	}
-	if reason == "" && adaptive > 0 && e2e >= adaptive {
+	// Strictly beyond: the p99.9 is clamped to the largest latency seen so
+	// far, so a transaction merely tying it is no outlier.
+	if reason == "" && adaptive > 0 && e2e > adaptive {
 		reason, threshold = "p999-outlier", adaptive
 	}
 	if reason == "" || root == 0 {

@@ -361,9 +361,9 @@ func TestPromGolden(t *testing.T) {
 	}
 	want := `# HELP tell_latency_seconds Latency quantiles over the retained windows.
 # TYPE tell_latency_seconds summary
-tell_latency_seconds{node="txn",metric="lat/neworder",quantile="0.5"} 0.004067944
-tell_latency_seconds{node="txn",metric="lat/neworder",quantile="0.99"} 0.004067944
-tell_latency_seconds{node="txn",metric="lat/neworder",quantile="0.999"} 0.004067944
+tell_latency_seconds{node="txn",metric="lat/neworder",quantile="0.5"} 0.004
+tell_latency_seconds{node="txn",metric="lat/neworder",quantile="0.99"} 0.004
+tell_latency_seconds{node="txn",metric="lat/neworder",quantile="0.999"} 0.004
 tell_latency_seconds_sum{node="txn",metric="lat/neworder"} 0.008
 tell_latency_seconds_count{node="txn",metric="lat/neworder"} 2
 # HELP tell_events_total All-time event counts per rate series.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"tell/internal/det"
@@ -85,25 +84,6 @@ type Client struct {
 	nBatches, nOps uint64
 }
 
-// clientInstances numbers client instances for token identity, per
-// environment: two clients on one node must not collide, but a fresh
-// environment (one simulation run) must restart the numbering — the ids go
-// into wire idempotency tokens, and a process-global counter would make a
-// run's message bytes (and so its simulated timing) depend on how many runs
-// preceded it in the same process. Entries are never deleted; environments
-// are few and small per process.
-var (
-	clientInstMu sync.Mutex
-	clientInst   = make(map[env.Env]uint64)
-)
-
-func nextClientID(envr env.Env, node string) string {
-	clientInstMu.Lock()
-	defer clientInstMu.Unlock()
-	clientInst[envr]++
-	return fmt.Sprintf("%s#%d", node, clientInst[envr])
-}
-
 // NewClient creates a client on the given node. mgrAddr is the management
 // node used as the lookup service. Batching is enabled by default.
 func NewClient(envr env.Full, node env.Node, tr transport.Transport, mgrAddr string) *Client {
@@ -123,7 +103,7 @@ func NewClient(envr env.Full, node env.Node, tr transport.Transport, mgrAddr str
 		conns:       make(map[string]transport.Conn),
 		batchers:    make(map[string]*batcher),
 		batching:    true,
-		clientID:    nextClientID(envr, node.Name()),
+		clientID:    fmt.Sprintf("%s#%d", node.Name(), envr.NextInstance("store.Client")),
 	}
 }
 
@@ -763,14 +743,27 @@ func statusErr(s wire.Status) error {
 // Get returns the value and LL stamp for key. The stamp is the load-link
 // token for a later CondPut.
 func (c *Client) Get(ctx env.Ctx, key []byte) (val []byte, stamp uint64, err error) {
-	res, err := c.Exec(ctx, []wire.Op{{Code: wire.OpGet, Key: key}})
+	val, stamp, _, err = c.GetIfChanged(ctx, key, 0)
+	return val, stamp, err
+}
+
+// GetIfChanged is Get for a caller that already holds a copy of key's value
+// under stamp have (0 = none). While the cell is still at have, the node
+// ships no value: changed is false, val is nil and stamp == have. Otherwise
+// it behaves like Get with changed true. Either way the call is one store
+// op, and stamp is the current LL token.
+func (c *Client) GetIfChanged(ctx env.Ctx, key []byte, have uint64) (val []byte, stamp uint64, changed bool, err error) {
+	res, err := c.Exec(ctx, []wire.Op{{Code: wire.OpGet, Key: key, Stamp: have}})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
+	}
+	if res[0].Status == wire.StatusUnchanged {
+		return nil, res[0].Stamp, false, nil
 	}
 	if err := statusErr(res[0].Status); err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
-	return res[0].Val, res[0].Stamp, nil
+	return res[0].Val, res[0].Stamp, true, nil
 }
 
 // Put unconditionally stores val under key.

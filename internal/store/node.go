@@ -770,7 +770,11 @@ func (sn *Node) execOp(op *wire.Op, res *wire.Result, muts map[uint64][]wire.Mut
 	}
 }
 
-// execGet serves a point read from the memtable. Caller holds sn.mu.
+// execGet serves a point read from the memtable. A conditional Get
+// (op.Stamp != 0) whose cell is still at that stamp is answered Unchanged,
+// without the value: a key's stamp strictly increases across every write,
+// tombstone, promotion and migration, so (key, stamp) names one value — the
+// same invariant the LL/SC CondPut relies on. Caller holds sn.mu.
 func (sn *Node) execGet(op *wire.Op, res *wire.Result) {
 	sn.nGets++
 	c, ok := sn.mt.get(op.Key)
@@ -778,8 +782,12 @@ func (sn *Node) execGet(op *wire.Op, res *wire.Result) {
 		res.Status = wire.StatusNotFound
 		return
 	}
-	res.Status = wire.StatusOK
 	res.Stamp = c.stamp
+	if op.Stamp != 0 && op.Stamp == c.stamp {
+		res.Status = wire.StatusUnchanged
+		return
+	}
+	res.Status = wire.StatusOK
 	if c.isCtr {
 		res.Val = counterBytes(c.counter)
 		res.Count = c.counter

@@ -27,6 +27,14 @@ func FuzzRoundTrip(f *testing.F) {
 			Pairs: []Pair{{Key: []byte("k"), Val: []byte("v"), Stamp: 1}}},
 		{Status: StatusConflict, Stamp: 12},
 	}}).Encode())
+	// The conditional Get: a Get carrying the stamp of the caller's copy,
+	// and the Unchanged answer that carries the stamp and no value.
+	f.Add((&StoreRequest{Epoch: 7, Ops: []Op{
+		{Code: OpGet, Key: []byte("k"), Stamp: 41, Replica: true},
+	}}).Encode())
+	f.Add((&StoreResponse{Status: StatusOK, Epoch: 3, Results: []Result{
+		{Status: StatusUnchanged, Stamp: 41},
+	}}).Encode())
 	f.Add((&ReplicateRequest{PartitionID: 2, Mutations: []Mutation{
 		{Key: []byte("k"), Val: []byte("v"), Stamp: 5},
 		{Key: []byte("c"), Counter: true, CtrVal: -1, Stamp: 6},

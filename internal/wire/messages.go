@@ -109,6 +109,11 @@ const (
 	// piggybacks one) and re-route. Appended after StatusOverload so every
 	// earlier status keeps its byte value on the wire.
 	StatusStaleMap
+	// StatusUnchanged answers a conditional Get (Op.Stamp != 0) whose cell
+	// is still at that stamp: the result carries the stamp and no value, so
+	// a caller that holds the copy does not receive it again. Appended after
+	// StatusStaleMap so every earlier status keeps its byte value.
+	StatusUnchanged
 )
 
 func (s Status) String() string {
@@ -129,13 +134,17 @@ func (s Status) String() string {
 		return "Overload"
 	case StatusStaleMap:
 		return "StaleMap"
+	case StatusUnchanged:
+		return "Unchanged"
 	}
 	return fmt.Sprintf("Status(%d)", byte(s))
 }
 
 // Op is one storage operation. Which fields are meaningful depends on Code:
 //
-//	Get:        Key, Replica
+//	Get:        Key, Stamp (0 = unconditional; else the stamp of the copy
+//	            the caller holds: answered Unchanged, without the value,
+//	            while the cell is still at it), Replica
 //	Put:        Key, Val, Seq
 //	CondPut:    Key, Val, Stamp (0 = key must not exist: an insert), Seq
 //	Delete:     Key, Stamp (0 = unconditional), Seq
@@ -172,7 +181,7 @@ type Pair struct {
 // Result is the outcome of one Op.
 type Result struct {
 	Status Status
-	Val    []byte // Get: current value
+	Val    []byte // Get: current value (empty when Unchanged)
 	Stamp  uint64 // Get/Put/CondPut: cell stamp after the operation
 	Count  int64  // CounterAdd: counter value after the add
 	Pairs  []Pair // Scan
@@ -238,6 +247,7 @@ func encodeOp(w *Writer, op *Op) {
 	switch op.Code {
 	case OpGet:
 		w.Bool(op.Replica)
+		w.Uvarint(op.Stamp)
 	case OpPut:
 		w.BytesN(op.Val)
 		w.Uvarint(op.Seq)
@@ -268,6 +278,7 @@ func decodeOp(r *Reader, op *Op) {
 	switch op.Code {
 	case OpGet:
 		op.Replica = r.Bool()
+		op.Stamp = r.Uvarint()
 	case OpPut:
 		op.Val = r.BytesN()
 		op.Seq = r.Uvarint()

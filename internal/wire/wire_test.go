@@ -105,6 +105,7 @@ func TestStoreRequestRoundTrip(t *testing.T) {
 		Epoch: 9,
 		Ops: []Op{
 			{Code: OpGet, Key: []byte("k1")},
+			{Code: OpGet, Key: []byte("k1"), Stamp: 1 << 40},
 			{Code: OpPut, Key: []byte("k2"), Val: []byte("v2")},
 			{Code: OpCondPut, Key: []byte("k3"), Val: []byte("v3"), Stamp: 77},
 			{Code: OpDelete, Key: []byte("k4"), Stamp: 3},
