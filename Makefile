@@ -95,7 +95,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/wire ./internal/env ./internal/sim \
-		./internal/metrics ./internal/btree ./internal/lint
+		./internal/metrics ./internal/btree ./internal/lint ./internal/obs
 	$(MAKE) chaos-race
 	$(MAKE) perfbench-test
 	$(MAKE) crash-matrix

@@ -330,6 +330,15 @@ func (c *cli) watchLoop(watch bool, render func() error) error {
 	}
 }
 
+// quantile formats a series quantile; 0 means the windowed sample count
+// cannot support it and prints as "-".
+func quantile(ns int64) string {
+	if ns == 0 {
+		return "-"
+	}
+	return time.Duration(ns).Round(time.Microsecond).String()
+}
+
 // colWidth returns the print width for a name column: at least min, wide
 // enough for the longest name so long node/counter names stay aligned.
 func colWidth(min int, names ...string) int {
@@ -342,10 +351,10 @@ func colWidth(min int, names ...string) int {
 	return w
 }
 
-// stats fetches and pretty-prints a live telemetry snapshot from one
-// daemon (storage node or commit manager): handler-latency classes from its
-// metrics summary plus operation and trace counters. With -watch the view
-// refreshes in place.
+// stats fetches and pretty-prints one daemon's telemetry snapshot (storage
+// node or commit manager): windowed per-class latency series plus its
+// operation, resilience and trace counters. With -watch the view refreshes
+// in place.
 func (c *cli) stats(args []string) error {
 	watch := false
 	if len(args) > 0 && args[0] == "-watch" {
@@ -355,58 +364,11 @@ func (c *cli) stats(args []string) error {
 		return fmt.Errorf("usage: stats [-watch] <addr>")
 	}
 	addr := args[0]
-	return c.watchLoop(watch, func() error { return c.statsOnce(addr) })
-}
-
-func (c *cli) statsOnce(addr string) error {
-	conn, err := c.tr.Dial(c.node, addr)
-	if err != nil {
-		return err
-	}
-	raw, err := conn.RoundTrip(c.ctx, wire.EncodeStatsReq())
-	if err != nil {
-		return err
-	}
-	snap, err := wire.DecodeStatsSnapshot(raw)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("node %s  uptime %s\n", snap.Node, time.Duration(snap.UptimeNs).Round(time.Millisecond))
-	if len(snap.Classes) > 0 {
-		names := make([]string, len(snap.Classes))
-		for i, cl := range snap.Classes {
-			names[i] = cl.Name
-		}
-		w := colWidth(12, names...)
-		fmt.Printf("  %-*s %10s %12s %12s %12s\n", w, "class", "count", "mean", "p99", "max")
-		for _, cl := range snap.Classes {
-			fmt.Printf("  %-*s %10d %12s %12s %12s\n", w, cl.Name, cl.Count,
-				time.Duration(cl.MeanNs).Round(time.Microsecond),
-				time.Duration(cl.P99Ns).Round(time.Microsecond),
-				time.Duration(cl.MaxNs).Round(time.Microsecond))
-		}
-	}
-	names := make([]string, len(snap.Counters))
-	for i, ct := range snap.Counters {
-		names[i] = ct.Name
-	}
-	w := colWidth(28, names...)
-	for _, ct := range snap.Counters {
-		fmt.Printf("  %-*s %d\n", w, ct.Name, ct.Value)
-	}
-	// The windowed view over the extended stats protocol: series, heat,
-	// breaches and flight state from this one daemon (best-effort — an
-	// older daemon without the protocol just shows the base snapshot).
-	if raw, err := conn.RoundTrip(c.ctx, wire.EncodeStatsExtReq()); err == nil {
-		if ext, err := wire.DecodeStatsExt(raw); err == nil {
-			renderExt(ext)
-		}
-	}
-	return nil
+	return c.watchLoop(watch, func() error { return c.snapshotOnce(addr) })
 }
 
 // top renders the cluster-wide telemetry view: the manager fans the
-// extended stats request out to every live storage node and returns the
+// stats request out to every live storage node and returns the
 // merged snapshot — windowed per-class latency series, the per-range
 // heatmap ranked by recent activity, SLO breach tallies and flight-recorder
 // state. Defaults to the -manager address; pass another daemon's address to
@@ -421,10 +383,11 @@ func (c *cli) top(args []string) error {
 		}
 		addr = a
 	}
-	return c.watchLoop(watch, func() error { return c.topOnce(addr) })
+	return c.watchLoop(watch, func() error { return c.snapshotOnce(addr) })
 }
 
-func (c *cli) topOnce(addr string) error {
+// snapshotOnce fetches one stats snapshot from addr and renders it.
+func (c *cli) snapshotOnce(addr string) error {
 	conn, err := c.tr.Dial(c.node, addr)
 	if err != nil {
 		return err
@@ -437,39 +400,36 @@ func (c *cli) topOnce(addr string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cluster via %s  t=%v  window=%v\n", ext.Node,
+	fmt.Printf("snapshot from %s  t=%v  window=%v\n", ext.Node,
 		time.Duration(ext.NowNs).Round(time.Millisecond), time.Duration(ext.WindowNs))
 	renderExt(ext)
 	return nil
 }
 
-// renderExt pretty-prints one extended telemetry snapshot — a single
-// daemon's own view (`stats`) or the manager's merged cluster view (`top`).
+// renderExt pretty-prints one telemetry snapshot — a single daemon's own
+// view (`stats`) or the manager's merged cluster view (`top`). count is the
+// windowed sample count behind the quantiles, total the all-time count.
 func renderExt(ext *wire.StatsExt) {
-	var hists, rates []wire.SeriesStat
+	var hists, totals []wire.SeriesStat
 	names := []string{}
 	for _, s := range ext.Series {
-		if s.Hist {
-			if s.Count > 0 {
-				hists = append(hists, s)
-			}
-		} else if s.Total != 0 {
-			rates = append(rates, s)
+		if !s.Hist {
+			totals = append(totals, s)
+		} else if s.Count > 0 {
+			hists = append(hists, s)
 		}
 		names = append(names, s.Node+" "+s.Metric)
 	}
 	w := colWidth(20, names...)
 	if len(hists) > 0 {
-		fmt.Printf("\n%-*s %10s %12s %12s %12s %12s\n", w, "series", "count", "mean", "p50", "p99", "p999")
+		fmt.Printf("\n%-*s %10s %10s %12s %12s %12s %12s\n", w, "series", "count", "total", "mean", "p50", "p99", "p999")
 		for _, s := range hists {
-			fmt.Printf("%-*s %10d %12s %12s %12s %12s\n", w, s.Node+" "+s.Metric, s.Count,
+			fmt.Printf("%-*s %10d %10d %12s %12s %12s %12s\n", w, s.Node+" "+s.Metric, s.Count, s.Total,
 				time.Duration(s.MeanNs).Round(time.Microsecond),
-				time.Duration(s.P50Ns).Round(time.Microsecond),
-				time.Duration(s.P99Ns).Round(time.Microsecond),
-				time.Duration(s.P999Ns).Round(time.Microsecond))
+				quantile(s.P50Ns), quantile(s.P99Ns), quantile(s.P999Ns))
 		}
 	}
-	for _, s := range rates {
+	for _, s := range totals {
 		fmt.Printf("%-*s total %d\n", w, s.Node+" "+s.Metric, s.Total)
 	}
 

@@ -52,12 +52,14 @@ func main() {
 	// TELL_SEED pins the daemon's RNG for reproducible runs; without it
 	// the seed is arbitrary (real deployments need no replayability).
 	envr := env.NewReal(env.SeedFromEnv(time.Now().UnixNano()))
-	// Counters-only telemetry: running totals for `tellcli stats`, no
-	// event buffering (full traces come from the simulator).
+	// Counters-only tracing: running totals that ride the stats snapshot
+	// as trace/* counter rows, no event buffering (full traces come from
+	// the simulator).
 	rec := trace.NewCounters(envr.Now)
 	env.SetTracer(envr, rec)
-	// Windowed series + heat + flight recorder: answers the extended stats
-	// protocol (`tellcli top`) and, with -metrics, a Prometheus scrape.
+	// Windowed series + heat + flight recorder: answers the stats protocol
+	// (`tellcli stats`, `tellcli top`) and, with -metrics, a Prometheus
+	// scrape.
 	// Daemons use 1s windows; the 100ms default is sized for simulated runs.
 	pipe := obs.New(obs.Config{Window: time.Second, AdaptiveOutliers: true}, envr.Now)
 	rec.SetTap(pipe.Flight())

@@ -7,6 +7,7 @@ import (
 
 	"tell/internal/commitmgr"
 	"tell/internal/env"
+	"tell/internal/obs"
 	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
@@ -336,52 +337,54 @@ func TestInterleavedTidsUniqueAndBaseAdvances(t *testing.T) {
 	})
 }
 
-// TestStatsSnapshot: a KindStatsReq against a commit manager must return a
-// snapshot reflecting the starts it has served.
-func TestStatsSnapshot(t *testing.T) {
-	h := newCMHarness(t, 1)
-	h.run(t, func(ctx env.Ctx) {
-		for i := 0; i < 3; i++ {
-			if _, err := h.client.Start(ctx); err != nil {
-				t.Fatalf("start: %v", err)
+// TestStatsExtCounters: a stats request against a commit manager must
+// return its running counters whether or not a telemetry pipeline is
+// attached, and with one also the start latency series.
+func TestStatsExtCounters(t *testing.T) {
+	for _, withObs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("obs=%v", withObs), func(t *testing.T) {
+			h := newCMHarness(t, 1)
+			if withObs {
+				h.cms[0].SetObs(obs.New(obs.Config{}, h.envr.Now))
 			}
-		}
-		conn, err := h.net.Dial(h.pn, "cm0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := conn.RoundTrip(ctx, wire.EncodeStatsReq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := wire.DecodeStatsSnapshot(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Node != "cm0" {
-			t.Fatalf("node %q", snap.Node)
-		}
-		// The default client coalesces starts into grouped requests, so the
-		// latency class is "start-group"; the split protocol records
-		// "start". Sequential starts cannot batch, so either way three
-		// requests were served.
-		var startCount uint64
-		for _, c := range snap.Classes {
-			if c.Name == "start" || c.Name == "start-group" {
-				startCount += c.Count
-			}
-		}
-		if startCount != 3 {
-			t.Fatalf("start(+group) class count %d, want 3", startCount)
-		}
-		counters := map[string]int64{}
-		for _, c := range snap.Counters {
-			counters[c.Name] = c.Value
-		}
-		if counters["cm/starts"] != 3 {
-			t.Fatalf("cm/starts = %d", counters["cm/starts"])
-		}
-	})
+			h.run(t, func(ctx env.Ctx) {
+				for i := 0; i < 3; i++ {
+					if _, err := h.client.Start(ctx); err != nil {
+						t.Fatalf("start: %v", err)
+					}
+				}
+				ext := cmStats(t, ctx, h, "cm0")
+				if ext.Node != "cm0" {
+					t.Fatalf("node %q", ext.Node)
+				}
+				rows := map[string]wire.SeriesStat{}
+				for _, s := range ext.Series {
+					if s.Node == "cm0" {
+						rows[s.Metric] = s
+					}
+				}
+				for _, name := range []string{"cm/starts", "cm/active", "cm/lav", "cm/deltas", "cm/fulls", "resil/replays", "resil/sheds"} {
+					if r, ok := rows[name]; !ok || r.Hist {
+						t.Fatalf("counter row %s missing or not a counter: %+v", name, rows)
+					}
+				}
+				if rows["cm/starts"].Total != 3 {
+					t.Fatalf("cm/starts = %d", rows["cm/starts"].Total)
+				}
+				// The default client coalesces starts into grouped requests,
+				// so the latency class is "start-group"; the split protocol
+				// records "start". Sequential starts cannot batch, so either
+				// way three requests were served.
+				startCount := rows["lat/start"].Count + rows["lat/start-group"].Count
+				if withObs && startCount != 3 {
+					t.Fatalf("start(+group) series count %d, want 3", startCount)
+				}
+				if !withObs && startCount != 0 {
+					t.Fatalf("latency series without a pipeline: %+v", rows)
+				}
+			})
+		})
+	}
 }
 
 func TestRestartedManagerResumesOwnState(t *testing.T) {

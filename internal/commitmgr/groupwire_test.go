@@ -222,28 +222,34 @@ func TestFailOverResyncsDeltaState(t *testing.T) {
 	})
 }
 
-// cmCounters fetches the delta/full response counters from a manager's
-// stats endpoint.
-func cmCounters(t *testing.T, ctx env.Ctx, h *cmHarness, addr string) (deltas, fulls int64) {
+// cmStats fetches a manager's stats snapshot.
+func cmStats(t *testing.T, ctx env.Ctx, h *cmHarness, addr string) *wire.StatsExt {
 	t.Helper()
 	conn, err := h.net.Dial(h.pn, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := conn.RoundTrip(ctx, wire.EncodeStatsReq())
+	raw, err := conn.RoundTrip(ctx, wire.EncodeStatsExtReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := wire.DecodeStatsSnapshot(raw)
+	ext, err := wire.DecodeStatsExt(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range snap.Counters {
-		switch c.Name {
+	return ext
+}
+
+// cmCounters fetches the delta/full response counters from a manager's
+// stats snapshot.
+func cmCounters(t *testing.T, ctx env.Ctx, h *cmHarness, addr string) (deltas, fulls int64) {
+	t.Helper()
+	for _, s := range cmStats(t, ctx, h, addr).Series {
+		switch s.Metric {
 		case "cm/deltas":
-			deltas = c.Value
+			deltas = s.Total
 		case "cm/fulls":
-			fulls = c.Value
+			fulls = s.Total
 		}
 	}
 	return deltas, fulls

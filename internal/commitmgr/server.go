@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"tell/internal/env"
-	"tell/internal/metrics"
 	"tell/internal/mvcc"
 	"tell/internal/obs"
 	"tell/internal/resil"
@@ -128,7 +127,6 @@ type Server struct {
 	// deltas/fulls count grouped responses by descriptor form (telemetry
 	// for the delta-encoding hit rate; gap or fail-over forces a full).
 	deltas, fulls uint64
-	lat           *metrics.Summary // handler latency per request class
 	// obs, if set, feeds handler latencies into the windowed telemetry
 	// pipeline (nil disables; every hook below is nil-safe).
 	obs *obs.Pipeline
@@ -165,7 +163,6 @@ func New(id, addr string, envr env.Full, node env.Node, tr transport.Transport, 
 		StalePeerTicks: 5000,
 		RecoveryGrace:  100 * time.Millisecond,
 		RecoveryEvery:  100,
-		lat:            metrics.NewSummary(),
 	}
 	s.mu.SetName("commitmgr.Server.mu")
 	return s
@@ -264,11 +261,8 @@ func (s *Server) handle(ctx env.Ctx, raw []byte) []byte {
 	if wire.PeekKind(raw) == wire.KindPing {
 		return []byte{byte(wire.KindPong)}
 	}
-	if wire.PeekKind(raw) == wire.KindStatsReq {
-		return s.handleStats(ctx)
-	}
 	if wire.PeekKind(raw) == wire.KindStatsExtReq {
-		return s.obs.StatsExt(s.id).Encode()
+		return s.statsExt().Encode()
 	}
 	// Admission control: shed rather than queue without bound (pings and
 	// stats above bypass — the failure detector must see an overloaded
@@ -325,41 +319,27 @@ func (s *Server) handleCM(ctx env.Ctx, raw []byte) []byte {
 }
 
 func (s *Server) recordLat(class string, d time.Duration) {
-	s.mu.Lock()
-	s.lat.Record(class, d)
-	s.mu.Unlock()
 	s.obs.ObserveClass(s.obs.Now(), s.id, class, d)
 }
 
-// handleStats serves a telemetry snapshot: per-class handler-latency digests
-// plus start counts, the current lav, and any trace-recorder counters.
-func (s *Server) handleStats(ctx env.Ctx) []byte {
-	snap := &wire.StatsSnapshot{Node: s.id, UptimeNs: int64(ctx.Now())}
+// statsExt builds the manager's stats snapshot: the pipeline's series plus
+// its running counters (present with or without a pipeline attached).
+func (s *Server) statsExt() *wire.StatsExt {
+	ext := s.obs.StatsExt(s.id)
 	s.mu.Lock()
-	for _, name := range s.lat.Names() {
-		h := s.lat.Get(name)
-		snap.Classes = append(snap.Classes, wire.StatsClass{
-			Name:   name,
-			Count:  h.Count(),
-			MeanNs: int64(h.Mean()),
-			P99Ns:  int64(h.Percentile(99)),
-			MaxNs:  int64(h.Max()),
-		})
-	}
-	snap.Counters = append(snap.Counters,
-		wire.StatsCounter{Name: "cm/starts", Value: int64(s.starts)},
-		wire.StatsCounter{Name: "cm/active", Value: int64(len(s.active))},
-		wire.StatsCounter{Name: "cm/lav", Value: int64(s.lavLocked())},
-		wire.StatsCounter{Name: "cm/deltas", Value: int64(s.deltas)},
-		wire.StatsCounter{Name: "cm/fulls", Value: int64(s.fulls)},
-		wire.StatsCounter{Name: "resil/replays", Value: int64(s.dedup.Replays())},
-		wire.StatsCounter{Name: "resil/sheds", Value: int64(s.gate.Sheds())},
-	)
+	ext.AddCounter("cm/starts", int64(s.starts))
+	ext.AddCounter("cm/active", int64(len(s.active)))
+	ext.AddCounter("cm/lav", int64(s.lavLocked()))
+	ext.AddCounter("cm/deltas", int64(s.deltas))
+	ext.AddCounter("cm/fulls", int64(s.fulls))
 	s.mu.Unlock()
+	ext.AddCounter("resil/replays", int64(s.dedup.Replays()))
+	ext.AddCounter("resil/sheds", int64(s.gate.Sheds()))
 	for _, c := range env.Tracer(s.envr).Counters() {
-		snap.Counters = append(snap.Counters, wire.StatsCounter{Name: "trace/" + c.Name, Value: c.Value})
+		ext.AddCounter("trace/"+c.Name, c.Value)
 	}
-	return snap.Encode()
+	ext.SortRows()
+	return ext
 }
 
 // peerIndex returns this manager's position in the (sorted) fleet and the

@@ -60,6 +60,39 @@ func TestSeriesRingEviction(t *testing.T) {
 	}
 }
 
+// TestStatsExtQuantileSupport: the stats snapshot reports a quantile only
+// when at least 10 retained observations lie above it (n·(1−q) ≥ 10), so a
+// p99 needs 1,000 samples and a p999 needs 10,000.
+func TestStatsExtQuantileSupport(t *testing.T) {
+	for _, c := range []struct {
+		n              int
+		p50, p99, p999 bool
+	}{
+		{999, true, false, false},
+		{1000, true, true, false},
+		{10000, true, true, true},
+	} {
+		p := New(Config{}, nil)
+		for i := 0; i < c.n; i++ {
+			p.ObserveClass(0, "sn0", "store", time.Duration(i+1)*time.Microsecond)
+		}
+		ext := p.StatsExt("sn0")
+		if len(ext.Series) != 1 || ext.Series[0].Count != uint64(c.n) {
+			t.Fatalf("n=%d: series = %+v", c.n, ext.Series)
+		}
+		s := ext.Series[0]
+		for _, q := range []struct {
+			name string
+			got  int64
+			want bool
+		}{{"p50", s.P50Ns, c.p50}, {"p99", s.P99Ns, c.p99}, {"p999", s.P999Ns, c.p999}} {
+			if (q.got != 0) != q.want {
+				t.Errorf("n=%d: %s = %d, want reported=%v", c.n, q.name, q.got, q.want)
+			}
+		}
+	}
+}
+
 func TestSLOBreachOnWindowClose(t *testing.T) {
 	p := New(Config{
 		Window: ms(100),

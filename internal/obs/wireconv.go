@@ -1,14 +1,16 @@
 package obs
 
 import (
+	"tell/internal/metrics"
 	"tell/internal/wire"
 )
 
-// StatsExt renders the pipeline as the extended stats wire snapshot a
-// daemon serves for KindStatsExtReq: merged series digests, heat rows,
-// aggregated breach tallies and flight-recorder state. node names the
-// answering daemon. Safe on a nil pipeline (returns an empty snapshot, so
-// a daemon without telemetry still answers the protocol).
+// StatsExt renders the pipeline as the stats wire snapshot a daemon serves
+// for KindStatsExtReq: merged series digests, heat rows, aggregated breach
+// tallies and flight-recorder state. A quantile the retained windows hold
+// too few samples for stays 0 (see supportedQuantile). node names the
+// answering daemon. Safe on a nil pipeline (returns an empty snapshot, to
+// which the daemon still appends its counters).
 func (p *Pipeline) StatsExt(node string) *wire.StatsExt {
 	ext := &wire.StatsExt{Node: node}
 	if p == nil {
@@ -25,9 +27,9 @@ func (p *Pipeline) StatsExt(node string) *wire.StatsExt {
 			if h := p.Class(d.Node, d.Metric); h != nil && h.Count() > 0 {
 				s.Count = h.Count()
 				s.MeanNs = int64(h.Mean())
-				s.P50Ns = int64(h.Percentile(50))
-				s.P99Ns = int64(h.Percentile(99))
-				s.P999Ns = int64(h.Percentile(99.9))
+				s.P50Ns = supportedQuantile(h, 500)
+				s.P99Ns = supportedQuantile(h, 990)
+				s.P999Ns = supportedQuantile(h, 999)
 			}
 		}
 		ext.Series = append(ext.Series, s)
@@ -70,4 +72,19 @@ func (p *Pipeline) StatsExt(node string) *wire.StatsExt {
 	}
 	ext.SortRows()
 	return ext
+}
+
+// minTail is how many retained observations must lie above a quantile
+// before the snapshot reports it: a p99 from fewer samples is just the
+// maximum under another name.
+const minTail = 10
+
+// supportedQuantile returns h's perMille/1000 quantile in nanoseconds, or 0
+// when the sample count cannot support it (n·(1−q) < minTail). Integer
+// arithmetic keeps the 1,000-sample p99 and 10,000-sample p999 edges exact.
+func supportedQuantile(h *metrics.Histogram, perMille uint64) int64 {
+	if h.Count()*(1000-perMille) < minTail*1000 {
+		return 0
+	}
+	return int64(h.Percentile(float64(perMille) / 10))
 }

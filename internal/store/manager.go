@@ -212,7 +212,7 @@ func (m *Manager) handle(ctx env.Ctx, raw []byte) []byte {
 	return encodeMetaAck(wire.StatusError)
 }
 
-// handleStatsExt answers the extended stats request with a cluster-wide
+// handleStatsExt answers the stats request with a cluster-wide
 // aggregation: the manager fans the request out to every live storage node
 // and merges the answers, so one query paints the whole heatmap. A node
 // that cannot be reached is simply absent from the merged view — telemetry

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"tell/internal/det"
 	"tell/internal/durable"
 	"tell/internal/env"
 	"tell/internal/resil"
@@ -83,7 +82,7 @@ func (sn *Node) migJournal(ctx env.Ctx, pid uint64, phase, peer string) error {
 }
 
 // migTrack updates the node's migration telemetry row for pid (served
-// through the extended stats protocol; `tellcli top` renders it).
+// through the stats protocol; `tellcli top` renders it).
 func (sn *Node) migTrack(pid uint64, phase, source, target string, addBytes, addChunks int64) {
 	sn.mu.Lock()
 	if sn.migs == nil {
@@ -105,16 +104,6 @@ func (sn *Node) migTrack(pid uint64, phase, source, target string, addBytes, add
 	}
 	g.BytesMoved += addBytes
 	g.Chunks += addChunks
-	sn.mu.Unlock()
-}
-
-// fillMigStats appends the node's migration rows to an extended stats
-// snapshot, in range order.
-func (sn *Node) fillMigStats(ext *wire.StatsExt) {
-	sn.mu.Lock()
-	for _, pid := range det.Keys(sn.migs) {
-		ext.Migr = append(ext.Migr, *sn.migs[pid])
-	}
 	sn.mu.Unlock()
 }
 

@@ -8,7 +8,6 @@ import (
 	"tell/internal/det"
 	"tell/internal/durable"
 	"tell/internal/env"
-	"tell/internal/metrics"
 	"tell/internal/obs"
 	"tell/internal/resil"
 	"tell/internal/sanitize"
@@ -82,7 +81,7 @@ type Node struct {
 	// mu; nil until the first fence.
 	fenced map[uint64]bool
 	// migs is the node's migration telemetry (per range, served through the
-	// extended stats protocol). Guarded by mu; nil until the first phase.
+	// stats protocol). Guarded by mu; nil until the first phase.
 	migs map[uint64]*wire.MigrationStat
 	// MigrateChunkDelay throttles bulk-copy chunk shipping so a migration
 	// shares the node with foreground traffic instead of saturating it.
@@ -91,7 +90,6 @@ type Node struct {
 
 	// stats
 	nGets, nWrites, nScans uint64
-	lat                    *metrics.Summary // handler latency per request class
 
 	// obs is the optional telemetry pipeline; obsHeat the node's per-range
 	// heat tracker within it. Both are nil-safe, so the hot-path hooks stay
@@ -117,7 +115,6 @@ func NewNode(addr string, envr env.Full, n env.Node, tr transport.Transport, cos
 		dedup:   resil.NewWindow(1024),
 		gate:    resil.NewGate(envr, 256, time.Millisecond),
 		retr:    resil.NewRetrier(),
-		lat:     metrics.NewSummary(),
 	}
 	sn.mu.SetName("store.Node.mu")
 	return sn
@@ -233,7 +230,7 @@ func (sn *Node) masterOf(h uint64) (*Partition, bool) {
 }
 
 // handle dispatches one incoming message and records the handler latency
-// under the request-class name (served by `tellcli stats`).
+// under the request-class name in the telemetry pipeline.
 func (sn *Node) handle(ctx env.Ctx, req []byte) []byte {
 	start := ctx.Now()
 	// A crashed or WAL-dead node refuses everything, pings included, so the
@@ -262,20 +259,12 @@ func (sn *Node) handle(ctx env.Ctx, req []byte) []byte {
 		class, resp = "ping", []byte{byte(wire.KindPong)}
 	case wire.KindRecoverReq:
 		class, resp = "recover", sn.handleRecover(ctx, req)
-	case wire.KindStatsReq:
-		return sn.handleStats(ctx)
 	case wire.KindStatsExtReq:
-		ext := sn.obs.StatsExt(sn.addr)
-		sn.fillMigStats(ext)
-		return ext.Encode()
+		return sn.statsExt().Encode()
 	default:
 		return (&wire.StoreResponse{Status: wire.StatusError}).Encode()
 	}
-	elapsed := ctx.Now() - start
-	sn.mu.Lock()
-	sn.lat.Record(class, elapsed)
-	sn.mu.Unlock()
-	sn.obs.ObserveClass(start, sn.addr, class, elapsed)
+	sn.obs.ObserveClass(start, sn.addr, class, ctx.Now()-start)
 	return resp
 }
 
@@ -294,34 +283,27 @@ func unavailableFor(k wire.Kind) []byte {
 	}
 }
 
-// handleStats serves a telemetry snapshot: per-class handler-latency digests
-// plus operation counts and any trace-recorder counters.
-func (sn *Node) handleStats(ctx env.Ctx) []byte {
-	snap := &wire.StatsSnapshot{Node: sn.addr, UptimeNs: int64(ctx.Now())}
+// statsExt builds the node's stats snapshot: the pipeline's series, heat
+// and flight state, plus the node's running counters and migration rows
+// (present with or without a pipeline attached).
+func (sn *Node) statsExt() *wire.StatsExt {
+	ext := sn.obs.StatsExt(sn.addr)
 	sn.mu.Lock()
-	for _, name := range sn.lat.Names() {
-		h := sn.lat.Get(name)
-		snap.Classes = append(snap.Classes, wire.StatsClass{
-			Name:   name,
-			Count:  h.Count(),
-			MeanNs: int64(h.Mean()),
-			P99Ns:  int64(h.Percentile(99)),
-			MaxNs:  int64(h.Max()),
-		})
+	ext.AddCounter("ops/gets", int64(sn.nGets))
+	ext.AddCounter("ops/writes", int64(sn.nWrites))
+	ext.AddCounter("ops/scans", int64(sn.nScans))
+	ext.AddCounter("store/keys", int64(sn.mt.len()))
+	for _, pid := range det.Keys(sn.migs) {
+		ext.Migr = append(ext.Migr, *sn.migs[pid])
 	}
-	snap.Counters = append(snap.Counters,
-		wire.StatsCounter{Name: "ops/gets", Value: int64(sn.nGets)},
-		wire.StatsCounter{Name: "ops/writes", Value: int64(sn.nWrites)},
-		wire.StatsCounter{Name: "ops/scans", Value: int64(sn.nScans)},
-		wire.StatsCounter{Name: "store/keys", Value: int64(sn.mt.len())},
-		wire.StatsCounter{Name: "resil/replays", Value: int64(sn.dedup.Replays())},
-		wire.StatsCounter{Name: "resil/sheds", Value: int64(sn.gate.Sheds())},
-	)
 	sn.mu.Unlock()
+	ext.AddCounter("resil/replays", int64(sn.dedup.Replays()))
+	ext.AddCounter("resil/sheds", int64(sn.gate.Sheds()))
 	for _, c := range env.Tracer(sn.envr).Counters() {
-		snap.Counters = append(snap.Counters, wire.StatsCounter{Name: "trace/" + c.Name, Value: c.Value})
+		ext.AddCounter("trace/"+c.Name, c.Value)
 	}
-	return snap.Encode()
+	ext.SortRows()
+	return ext
 }
 
 // handleStore executes a client batch: run every op against the memtable,

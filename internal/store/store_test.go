@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tell/internal/env"
+	"tell/internal/obs"
 	"tell/internal/sim"
 	"tell/internal/store"
 	"tell/internal/testutil"
@@ -633,51 +634,63 @@ func TestUnknownOpCodeReturnsError(t *testing.T) {
 	})
 }
 
-// TestStatsSnapshot: after some traffic, a KindStatsReq must return a
-// snapshot with per-class latency digests and operation counters that
-// reflect the requests served.
-func TestStatsSnapshot(t *testing.T) {
-	h := newHarness(t, store.ClusterConfig{NumNodes: 1})
-	defer h.close()
-	h.run(t, func(ctx env.Ctx) {
-		if _, err := h.client.Put(ctx, []byte("k"), []byte("v")); err != nil {
-			t.Fatalf("put: %v", err)
-		}
-		if _, _, err := h.client.Get(ctx, []byte("k")); err != nil {
-			t.Fatalf("get: %v", err)
-		}
-		conn, _ := h.net.Dial(h.pn, "sn0")
-		raw, err := conn.RoundTrip(ctx, wire.EncodeStatsReq())
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap, err := wire.DecodeStatsSnapshot(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Node != "sn0" || snap.UptimeNs <= 0 {
-			t.Fatalf("snapshot header: %+v", snap)
-		}
-		var storeCount uint64
-		for _, c := range snap.Classes {
-			if c.Name == "store" {
-				storeCount = c.Count
-				if c.MaxNs < c.MeanNs || c.P99Ns < c.MeanNs {
-					t.Fatalf("inconsistent digest: %+v", c)
-				}
+// TestStatsExtCounters: after some traffic, a stats request must return the
+// node's running counters whether or not a telemetry pipeline is attached,
+// and with one also the per-class handler-latency series.
+func TestStatsExtCounters(t *testing.T) {
+	for _, withObs := range []bool{false, true} {
+		t.Run(fmt.Sprintf("obs=%v", withObs), func(t *testing.T) {
+			h := newHarness(t, store.ClusterConfig{NumNodes: 1})
+			defer h.close()
+			if withObs {
+				h.cluster.Nodes[0].SetObs(obs.New(obs.Config{}, h.envr.Now))
 			}
-		}
-		if storeCount < 2 {
-			t.Fatalf("store class count %d, want >= 2 (put+get)", storeCount)
-		}
-		counters := map[string]int64{}
-		for _, c := range snap.Counters {
-			counters[c.Name] = c.Value
-		}
-		if counters["ops/gets"] < 1 || counters["ops/writes"] < 1 || counters["store/keys"] < 1 {
-			t.Fatalf("counters: %v", counters)
-		}
-	})
+			h.run(t, func(ctx env.Ctx) {
+				if _, err := h.client.Put(ctx, []byte("k"), []byte("v")); err != nil {
+					t.Fatalf("put: %v", err)
+				}
+				if _, _, err := h.client.Get(ctx, []byte("k")); err != nil {
+					t.Fatalf("get: %v", err)
+				}
+				conn, _ := h.net.Dial(h.pn, "sn0")
+				raw, err := conn.RoundTrip(ctx, wire.EncodeStatsExtReq())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ext, err := wire.DecodeStatsExt(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ext.Node != "sn0" {
+					t.Fatalf("snapshot node %q", ext.Node)
+				}
+				rows := map[string]wire.SeriesStat{}
+				for _, s := range ext.Series {
+					if s.Node == "sn0" {
+						rows[s.Metric] = s
+					}
+				}
+				for _, name := range []string{"ops/gets", "ops/writes", "ops/scans", "store/keys", "resil/replays", "resil/sheds"} {
+					if r, ok := rows[name]; !ok || r.Hist {
+						t.Fatalf("counter row %s missing or not a counter: %+v", name, rows)
+					}
+				}
+				if rows["ops/gets"].Total < 1 || rows["ops/writes"].Total < 1 || rows["store/keys"].Total < 1 {
+					t.Fatalf("counters: %+v", rows)
+				}
+				lat, ok := rows["lat/store"]
+				if !withObs {
+					if ok {
+						t.Fatalf("latency series without a pipeline: %+v", lat)
+					}
+					return
+				}
+				if !lat.Hist || lat.Count < 2 || lat.Total < 2 || lat.MeanNs <= 0 {
+					t.Fatalf("lat/store = %+v, want >= 2 samples (put+get)", lat)
+				}
+			})
+		})
+	}
 }
 
 func TestOverloadShedsAndRetriesAbsorb(t *testing.T) {

@@ -18,14 +18,14 @@ const (
 	KindMetaResp
 	KindPing
 	KindPong
-	KindStatsReq
-	KindStatsResp
 	KindRecoverReq
 	KindRecoverResp
-	// KindStatsExtReq / KindStatsExtResp carry the extended telemetry
-	// protocol: windowed series digests, per-range heat and flight-recorder
-	// state (see statsext.go). Appended after the recovery kinds so every
-	// earlier kind keeps its byte value on the wire.
+	// KindStatsExtReq / KindStatsExtResp carry the stats protocol every
+	// daemon answers: windowed series digests, daemon counters, per-range
+	// heat and flight-recorder state (see statsext.go). Kind values are
+	// not persisted (no WAL, checkpoint or journal stores them), so a
+	// retired kind is deleted and the later ones shift down; peers must
+	// run the same build.
 	KindStatsExtReq
 	KindStatsExtResp
 )

@@ -5,13 +5,13 @@ import (
 	"sort"
 )
 
-// This file defines the extended stats protocol carrying the obs
-// pipeline's view of a daemon: current windowed-series digests, per-range
-// heat rows, SLO breach tallies and flight-recorder state. The base stats
-// protocol (stats.go) stays untouched for old clients; `tellcli top` and
-// the live views consume this one. The management node additionally
-// answers it with a cluster-wide aggregation (fan-out over the storage
-// nodes), so one request paints the whole heatmap.
+// This file defines the stats protocol, the one telemetry snapshot every
+// daemon serves: the obs pipeline's windowed-series digests, the daemon's
+// own running counters (as non-histogram series rows), per-range heat
+// rows, SLO breach tallies and flight-recorder state. `tellcli stats` and
+// `tellcli top` consume it. The management node additionally answers it
+// with a cluster-wide aggregation (fan-out over the storage nodes), so one
+// request paints the whole heatmap.
 
 // SeriesStat is the digest of one windowed series: the merged quantiles
 // over the retained windows plus the all-time total.
@@ -68,7 +68,7 @@ type FlightStat struct {
 	Seen     uint64
 }
 
-// StatsExt is the extended telemetry snapshot.
+// StatsExt is a daemon's telemetry snapshot.
 type StatsExt struct {
 	Node     string
 	NowNs    int64
@@ -80,8 +80,14 @@ type StatsExt struct {
 	Flight   FlightStat
 }
 
-// EncodeStatsExtReq builds the (payload-free) extended stats request.
+// EncodeStatsExtReq builds the (payload-free) stats request.
 func EncodeStatsExtReq() []byte { return []byte{byte(KindStatsExtReq)} }
+
+// AddCounter appends one of the answering daemon's running totals as a
+// non-histogram series row (Hist=false, Total=v). Call SortRows afterwards.
+func (m *StatsExt) AddCounter(name string, v int64) {
+	m.Series = append(m.Series, SeriesStat{Node: m.Node, Metric: name, Total: v})
+}
 
 // Merge folds another daemon's snapshot into m — the management node's
 // cluster aggregation. Rows carry their origin node, so merging is
@@ -209,7 +215,7 @@ func (m *StatsExt) Encode() []byte {
 func DecodeStatsExt(b []byte) (*StatsExt, error) {
 	r := NewReader(b)
 	if k := Kind(r.Byte()); k != KindStatsExtResp {
-		return nil, fmt.Errorf("wire: kind %d is not an extended stats response", k)
+		return nil, fmt.Errorf("wire: kind %d is not a stats response", k)
 	}
 	m := &StatsExt{Node: r.String(), NowNs: r.Varint(), WindowNs: r.Varint()}
 	ns := r.Count(9)

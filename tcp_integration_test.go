@@ -186,12 +186,22 @@ func TestFullStackOverTCP(t *testing.T) {
 		t.Error("merged heat rows carry zero operations after the workload")
 	}
 	foundStore := false
+	writes := map[string]int64{}
 	for _, s := range ext.Series {
 		if s.Metric == "lat/store" && s.Count > 0 {
 			foundStore = true
 		}
+		if s.Metric == "ops/writes" && !s.Hist {
+			writes[s.Node] = s.Total
+		}
 	}
 	if !foundStore {
 		t.Error("merged snapshot has no store handler-latency series")
+	}
+	// Each storage node's own counters ride the same snapshot.
+	for _, addr := range snAddrs {
+		if writes[addr] <= 0 {
+			t.Errorf("merged snapshot: ops/writes of storage node %s = %d, want > 0 (have %v)", addr, writes[addr], writes)
+		}
 	}
 }
